@@ -17,7 +17,6 @@ from scipy.special import expit
 
 from .errors import (
     ConvergenceError,
-    NumericalDegeneracyError,
     QuasiSeparationError,
     SingularDesignError,
 )
@@ -27,7 +26,6 @@ __all__ = ["Family", "Dataset", "NullModelFit", "fit_null"]
 IRLS_MAX_ITER = 50
 IRLS_RTOL = 1e-10
 SEPARATION_TOL = 1e-10
-Q_EIGENVALUE_TOL = 1e-8
 
 
 class Family(enum.Enum):
@@ -136,24 +134,18 @@ class NullModelFit:
     def q_factor(self):
         """Orthonormal n x (n-d) basis of the residual space.
 
-        Built from the eigenvectors of the residual projection I - H with
-        eigenvalue 1, so that Q @ Q.T reproduces I - H and Q.T @ Q is the
-        identity. Computed on first use and cached.
+        The trailing n - d columns of a complete QR factorization of
+        ``hat_basis``, so that Q @ Q.T reproduces I - H and Q.T @ Q is the
+        identity. Householder QR returns the same basis whatever the BLAS
+        thread count (an eigensolver need not, since the eigenvalue 1 is
+        repeated). Computed on first use and cached.
         """
         if self._q_cache is not None:
             return self._q_cache
         n, d = self.n, self.d
         if n - d < 2:
             raise ValueError("residual space must have dimension at least 2")
-        resid_proj = np.eye(n) - self.hat_basis @ self.hat_basis.T
-        eigenvalues, eigenvectors = np.linalg.eigh(resid_proj)
-        keep = eigenvalues >= 1.0 - Q_EIGENVALUE_TOL
-        if int(keep.sum()) != n - d:
-            raise NumericalDegeneracyError(
-                f"expected {n - d} unit eigenvalues in the residual projection, "
-                f"found {int(keep.sum())}"
-            )
-        q = eigenvectors[:, keep]
+        q = np.linalg.qr(self.hat_basis, mode="complete")[0][:, d:]
         object.__setattr__(self, "_q_cache", q)
         return q
 

@@ -24,18 +24,30 @@ statistic:
   distribution and refits the model (denominators included) on every
   replicate.
 
-The transform schemes share one key property: the replicate statistic is a
-single matrix product between the permuted transformed response and the
-denominator-scaled markers, so the per-dataset denominators are computed
-once and reused across all replicates. The raw-response scheme refits the
-null mean per replicate (denominators stay fixed); the bootstrap refits
-everything, denominators included.
+Every scheme is one *row source* feeding one *evaluator*. The row source
+draws a replicate row: a permutation of a fixed base vector (the four
+transform schemes and raw-y), N(0, I) noise (normal bootstrap) or
+Bernoulli(mu_e) responses (binomial bootstrap). The evaluator maps a block
+of rows to a block of statistics and is one of two kinds:
 
-Every replicate draws from its own counter-based stream keyed by
-``(seed, *stream_path, replicate)``, making results independent of worker
-count and evaluation order. Test hooks (exhaustive enumeration for tiny n,
-forced identity replicates) live behind explicit flags and dispatch before
-the production path.
+* a fixed linear map. For the transform schemes it is ``x_tilde``, with the
+  per-dataset denominators computed once. Refitting a permuted normal
+  response is a projection, so normal raw-y is the map (I - H) x_g / denom.
+  The normal bootstrap statistic depends on neither mu_e nor phi_hat: it is
+  z (I - H) x_g / unit_denom with each row divided by its residual standard
+  error ||(I - H) z|| / sqrt(n - d);
+* a binomial refit by batch IRLS: of the mean only against the observed
+  denominators (raw-y), or of the mean, variance weights and denominators
+  (bootstrap).
+
+Replicate b draws from its own counter-based stream keyed by
+``(seed, *stream_path, b)``, making results independent of worker count and
+evaluation order. A row whose binomial refit fails (separation,
+non-convergence, a singular system) takes the next draw from the same
+stream, at most ``MAX_REPLICATE_RETRIES`` times. Test hooks replace the
+draws with fixed rows: the base row (``force_identity``) or all of its
+permutations (``exhaustive``). A fixed row is never redrawn, so its failed
+refit raises at once.
 """
 
 import enum
@@ -44,7 +56,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -55,7 +67,7 @@ from .errors import (
     InvalidCorrelationError,
     ReplicateFailureError,
 )
-from .glm import Family, fit_null
+from .glm import IRLS_MAX_ITER, IRLS_RTOL, SEPARATION_TOL, Family, fit_null
 from .rng import substream
 from .score import DEGENERATE_TOL, score_denominators
 
@@ -190,6 +202,12 @@ def exchangeable_transform(scheme, fit, dataset):
             f"scheme {scheme.value!r} refits per replicate and has no fixed "
             "exchangeable transform"
         )
+    n, m, d = dataset.n, dataset.m, dataset.d
+    if scheme is ResamplingScheme.FULL_MODEL_RESIDUALS and n <= m + d:
+        raise ConfigError(
+            "scheme 'full-model-residuals' fits all markers jointly and needs "
+            f"n > m + d observations; got n={n}, m={m}, d={d}"
+        )
     _warn_family_mismatch(scheme, fit)
     denom = score_denominators(fit, dataset.x_g)
     x_g = dataset.x_g
@@ -213,60 +231,34 @@ def exchangeable_transform(scheme, fit, dataset):
     return Transform(y_tilde=y_t, x_tilde=x_t, length=y_t.shape[0])
 
 
-def _drawn(gen_factory, draw, attempt):
-    """attempt-th draw from a fresh stream (retries reuse the stream)."""
-    gen = gen_factory()
-    for _ in range(attempt):
-        draw(gen)
-    return draw(gen)
+class _Kernel(NamedTuple):
+    """A scheme's replicate machinery: ``draw(gen)`` returns one replicate
+    row, ``base`` is the row of the identity replicate, and
+    ``evaluate(rows)`` maps a (rows, length) block to its (rows, m)
+    statistics and a mask of the rows whose refit succeeded."""
+
+    base: np.ndarray
+    draw: Callable
+    evaluate: Callable
 
 
-def _permutation_rows(y_t, seed, path, indices, attempts, identity):
-    length = y_t.shape[0]
-    out = np.empty((len(indices), length))
-    if identity:
-        out[:] = y_t
-        return out
-    for row, b in enumerate(indices):
-        perm = _drawn(
-            lambda b=b: substream(seed, *path, b),
-            lambda g: g.permutation(length),
-            attempts[row],
-        )
-        out[row] = y_t[perm]
-    return out
+def _permuting(base, evaluate):
+    return _Kernel(base, lambda gen: base[gen.permutation(base.shape[0])], evaluate)
 
 
-def _transform_chunk(transform, seed, path, indices, identity):
-    perm_y = _permutation_rows(
-        transform.y_tilde, seed, path, indices, np.zeros(len(indices), int), identity
-    )
-    stats = perm_y @ transform.x_tilde
-    return np.max(np.abs(stats), axis=1)
+def _linear(x_map, hat_basis=None):
+    """Evaluator ``rows @ x_map``. Given ``hat_basis``, each row is also
+    divided by its residual standard error ||(I - H) row|| / sqrt(n - d)."""
 
+    def evaluate(rows):
+        stats = rows @ x_map
+        if hat_basis is not None:
+            n, d = hat_basis.shape
+            resid = rows - (rows @ hat_basis) @ hat_basis.T
+            stats /= np.sqrt(np.einsum("bn,bn->b", resid, resid) / (n - d))[:, None]
+        return stats, np.ones(rows.shape[0], dtype=bool)
 
-def _unit_denominators(fit, x_g):
-    """sqrt(x_gj' (I - H) x_gj) with unit variance weights (normal refits)."""
-    proj = fit.hat_basis.T @ x_g
-    d2 = np.einsum("ij,ij->j", x_g, x_g) - np.einsum("ij,ij->j", proj, proj)
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
-def _normal_mean_refit_max(ys, fit, x_g, denom):
-    """Refit the normal null mean per row; keep the observed denominators."""
-    resid = ys - (ys @ fit.hat_basis) @ fit.hat_basis.T
-    stats = (resid @ x_g) / denom
-    return np.max(np.abs(stats), axis=1), np.ones(ys.shape[0], dtype=bool)
-
-
-def _normal_full_refit_max(ys, fit, x_g, unit_denom):
-    """Fully refit the normal null per row of ``ys``: mean, dispersion and
-    denominators are all recomputed."""
-    n, d = fit.n, fit.d
-    resid = ys - (ys @ fit.hat_basis) @ fit.hat_basis.T
-    sigma = np.sqrt(np.einsum("bn,bn->b", resid, resid) / (n - d))
-    stats = (resid @ x_g) / (sigma[:, None] * unit_denom[None, :])
-    return np.max(np.abs(stats), axis=1), np.ones(ys.shape[0], dtype=bool)
+    return evaluate
 
 
 def _rowwise_loglik(ys, mu):
@@ -307,7 +299,7 @@ def _batch_irls_mu(x_e, ys):
     loglik = _rowwise_loglik(ys, mu)
     converged = np.zeros(batch, dtype=bool)
     solvable = np.ones(batch, dtype=bool)
-    for _ in range(50):
+    for _ in range(IRLS_MAX_ITER):
         w = mu * (1.0 - mu)
         z = eta + (ys - mu) / w
         a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
@@ -316,128 +308,102 @@ def _batch_irls_mu(x_e, ys):
         eta = coef @ x_e.T
         mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
         loglik_new = _rowwise_loglik(ys, mu)
-        converged |= np.abs(loglik_new - loglik) < 1e-10 * np.maximum(
+        converged |= np.abs(loglik_new - loglik) < IRLS_RTOL * np.maximum(
             np.abs(loglik), 1e-10
         )
         loglik = loglik_new
         if converged.all():
             break
-    separated = (mu.min(axis=1) < 1e-10) | (mu.max(axis=1) > 1.0 - 1e-10)
+    separated = (mu.min(axis=1) < SEPARATION_TOL) | (
+        mu.max(axis=1) > 1.0 - SEPARATION_TOL
+    )
     return mu, converged & solvable & ~separated
 
 
-def _binomial_mean_refit_max(ys, fit, x_g, denom):
-    """Refit the binomial null mean per row; keep the observed denominators."""
-    mu, ok = _batch_irls_mu(fit.x_e, ys)
-    stats = ((ys - mu) @ x_g) / denom
-    return np.max(np.abs(stats), axis=1), ok
+def _binomial_refit(x_e, x_g, denom):
+    """Evaluator that refits the binomial null mean on every row. With the
+    observed ``denom`` only the mean is refit; with ``denom=None`` the
+    variance weights and denominators are recomputed too."""
 
-
-def _binomial_full_refit_max(ys, fit, x_g):
-    """Fully refit the binomial null per row of ``ys``: mean, variance
-    weights and denominators are all recomputed."""
-    x_e = fit.x_e
-    mu, ok = _batch_irls_mu(x_e, ys)
-    w = mu * (1.0 - mu)
-    resid = ys - mu
-    term1 = w @ (x_g**2)
-    cross = np.einsum("ni,bn,nj->bij", x_e, w, x_g, optimize=True)
-    a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
-    sol, solve_ok = _batch_solve(a, cross)
-    ok &= solve_ok
-    denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
-    ok &= np.all(
-        denom_sq > np.maximum(term1 * DEGENERATE_TOL, DEGENERATE_TOL**2), axis=1
-    )
-    denom = np.sqrt(np.maximum(denom_sq, DEGENERATE_TOL**2))
-    stats = (resid @ x_g) / denom
-    return np.max(np.abs(stats), axis=1), ok
-
-
-def _refit_rows(scheme, fit, dataset, seed, path, indices, attempts, identity):
-    """Draw the replicate responses for a refit scheme: permutations of the
-    observed response for raw-y, samples from the fitted null for the
-    bootstrap."""
-    n = dataset.n
-    out = np.empty((len(indices), n))
-    if identity:
-        out[:] = dataset.y
-        return out
-    if scheme is ResamplingScheme.RAW_Y:
-        for row, b in enumerate(indices):
-            perm = _drawn(
-                lambda b=b: substream(seed, *path, b),
-                lambda g: g.permutation(n),
-                attempts[row],
+    def evaluate(rows):
+        mu, ok = _batch_irls_mu(x_e, rows)
+        row_denom = denom
+        if denom is None:
+            w = mu * (1.0 - mu)
+            term1 = w @ (x_g**2)
+            cross = np.einsum("ni,bn,nj->bij", x_e, w, x_g, optimize=True)
+            a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
+            sol, solve_ok = _batch_solve(a, cross)
+            ok &= solve_ok
+            denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
+            ok &= np.all(
+                denom_sq > np.maximum(term1 * DEGENERATE_TOL, DEGENERATE_TOL**2), axis=1
             )
-            out[row] = dataset.y[perm]
-        return out
+            row_denom = np.sqrt(np.maximum(denom_sq, DEGENERATE_TOL**2))
+        return ((rows - mu) @ x_g) / row_denom, ok
+
+    return evaluate
+
+
+def _kernel(scheme, fit, dataset):
+    """Base row, draw and evaluator of ``scheme`` on ``dataset``."""
+    if not scheme.refits_per_replicate:
+        transform = exchangeable_transform(scheme, fit, dataset)
+        return _permuting(transform.y_tilde, _linear(transform.x_tilde))
+    x_g, n = dataset.x_g, dataset.n
+    denom = score_denominators(fit, x_g)  # rejects degenerate markers up front
+    bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
     if fit.family is Family.NORMAL:
-        scale = math.sqrt(fit.phi_hat)
-        for row, b in enumerate(indices):
-            z = _drawn(
-                lambda b=b: substream(seed, *path, b),
-                lambda g: g.standard_normal(n),
-                attempts[row],
-            )
-            out[row] = fit.mu_e + scale * z
-    else:
-        for row, b in enumerate(indices):
-            u = _drawn(
-                lambda b=b: substream(seed, *path, b),
-                lambda g: g.random(n),
-                attempts[row],
-            )
-            out[row] = (u < fit.mu_e).astype(float)
-    return out
-
-
-def _refit_evaluator(scheme, fit, x_g):
-    """Pick the per-chunk statistic evaluator for a refit scheme.
-
-    Raw-y keeps the observed denominators (only the mean is refit); the
-    bootstrap recomputes denominators from the refit variance weights.
-    """
-    if scheme is ResamplingScheme.RAW_Y:
-        denom = score_denominators(fit, x_g)
-        if fit.family is Family.NORMAL:
-            return lambda ys: _normal_mean_refit_max(ys, fit, x_g, denom)
-        return lambda ys: _binomial_mean_refit_max(ys, fit, x_g, denom)
-    if fit.family is Family.NORMAL:
-        unit_denom = _unit_denominators(fit, x_g)
-        return lambda ys: _normal_full_refit_max(ys, fit, x_g, unit_denom)
-    return lambda ys: _binomial_full_refit_max(ys, fit, x_g)
-
-
-def _refit_chunk(scheme, fit, dataset, seed, path, indices, identity):
-    evaluate = _refit_evaluator(scheme, fit, dataset.x_g)
-    attempts = np.zeros(len(indices), dtype=int)
-    ys = _refit_rows(scheme, fit, dataset, seed, path, indices, attempts, identity)
-    maxima, ok = evaluate(ys)
-    while not ok.all():
-        failed = np.flatnonzero(~ok)
-        attempts[failed] += 1
-        over = failed[attempts[failed] > MAX_REPLICATE_RETRIES]
-        if over.size:
-            raise ReplicateFailureError(
-                f"replicate {indices[over[0]]} failed after "
-                f"{MAX_REPLICATE_RETRIES} retries",
-                replicate=int(indices[over[0]]),
-            )
-        retry_ys = _refit_rows(
-            scheme,
-            fit,
-            dataset,
-            seed,
-            path,
-            [indices[i] for i in failed],
-            attempts[failed],
-            identity,
+        resid_x = x_g - fit.hat_apply(x_g)
+        if not bootstrap:
+            return _permuting(dataset.y, _linear(resid_x / denom))
+        unit_denom = np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
+        return _Kernel(
+            fit.residuals / math.sqrt(fit.phi_hat),
+            lambda gen: gen.standard_normal(n),
+            _linear(resid_x / unit_denom, fit.hat_basis),
         )
-        retry_max, retry_ok = evaluate(retry_ys)
-        maxima[failed] = retry_max
-        ok[failed] = retry_ok
-    return maxima
+    if not bootstrap:
+        return _permuting(dataset.y, _binomial_refit(fit.x_e, x_g, denom))
+    return _Kernel(
+        dataset.y,
+        lambda gen: (gen.random(n) < fit.mu_e).astype(float),
+        _binomial_refit(fit.x_e, x_g, None),
+    )
+
+
+def _draw(kernel, gens):
+    rows = np.empty((len(gens), kernel.base.shape[0]))
+    for row, gen in zip(rows, gens):
+        row[:] = kernel.draw(gen)
+    return rows
+
+
+def _chunk(kernel, seed, path, indices, rows=None):
+    """(len(indices), m) statistics of the replicates ``indices``.
+
+    Replicate b draws its row from ``substream(seed, *path, b)`` unless
+    fixed ``rows`` are given. A drawn row whose refit fails takes the next
+    draw from the same generator, at most MAX_REPLICATE_RETRIES times; a
+    fixed row whose refit fails raises at once.
+    """
+    gens = []
+    if rows is None:
+        gens = [substream(seed, *path, b) for b in indices]
+        rows = _draw(kernel, gens)
+    stats, ok = kernel.evaluate(rows)
+    failed = np.flatnonzero(~ok)
+    for _ in range(MAX_REPLICATE_RETRIES if gens else 0):
+        if not failed.size:
+            break
+        retry_stats, ok = kernel.evaluate(_draw(kernel, [gens[i] for i in failed]))
+        stats[failed] = retry_stats
+        failed = failed[~ok]
+    if failed.size:
+        b = int(indices[failed[0]])
+        how = f"after {MAX_REPLICATE_RETRIES} retries" if gens else "to refit"
+        raise ReplicateFailureError(f"replicate {b} failed {how}", replicate=b)
+    return stats
 
 
 def _exhaustive_distribution(scheme, fit, dataset, seed):
@@ -449,23 +415,12 @@ def _exhaustive_distribution(scheme, fit, dataset, seed):
         )
     if scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP:
         raise ConfigError("exhaustive mode is defined for permutation schemes only")
+    kernel = _kernel(scheme, fit, dataset)
     perms = np.array(list(_all_permutations(range(length))), dtype=np.intp)
-    total = perms.shape[0]
-    if scheme is ResamplingScheme.RAW_Y:
-        evaluate = _refit_evaluator(scheme, fit, dataset.x_g)
-        maxima, ok = evaluate(dataset.y[perms])
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise ReplicateFailureError(
-                f"exhaustive replicate {bad} failed to refit", replicate=bad
-            )
-    else:
-        transform = exchangeable_transform(scheme, fit, dataset)
-        stats = transform.y_tilde[perms] @ transform.x_tilde
-        maxima = np.max(np.abs(stats), axis=1)
+    stats = _chunk(kernel, seed, (), range(len(perms)), rows=kernel.base[perms])
     return MaxTDistribution(
-        max_stats=np.sort(maxima),
-        b=total,
+        max_stats=np.sort(np.max(np.abs(stats), axis=1)),
+        b=len(perms),
         scheme=scheme,
         seed=seed,
         exhaustive=True,
@@ -496,21 +451,12 @@ def replicate_statistics(
         return _exhaustive_distribution(scheme, fit, dataset, seed)
     if b < 1:
         raise ConfigError("need at least one replicate")
-    if scheme.refits_per_replicate:
-        score_denominators(fit, dataset.x_g)  # reject degenerate markers up front
+    kernel = _kernel(scheme, fit, dataset)
 
-        def run(indices):
-            return _refit_chunk(
-                scheme, fit, dataset, seed, stream_path, indices, force_identity
-            )
-
-    else:
-        transform = exchangeable_transform(scheme, fit, dataset)
-
-        def run(indices):
-            return _transform_chunk(
-                transform, seed, stream_path, indices, force_identity
-            )
+    def run(indices):
+        rows = np.tile(kernel.base, (len(indices), 1)) if force_identity else None
+        stats = _chunk(kernel, seed, stream_path, indices, rows)
+        return np.max(np.abs(stats), axis=1)
 
     chunks = [range(lo, min(lo + _CHUNK, b)) for lo in range(0, b, _CHUNK)]
     maxima = np.empty(b)
@@ -527,16 +473,12 @@ def replicate_statistics(
 
 
 def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
-    """Full (b, m) matrix of replicate statistics for a transform scheme.
+    """Full (b, m) matrix of replicate statistics.
 
-    Diagnostic helper: exposes the per-replicate statistics that
-    ``replicate_statistics`` reduces to maxima.
+    Diagnostic helper: the kernel of ``replicate_statistics`` without the
+    reduction to maxima.
     """
-    transform = exchangeable_transform(scheme, fit, dataset)
-    perm_y = _permutation_rows(
-        transform.y_tilde, seed, stream_path, range(b), np.zeros(b, int), False
-    )
-    return perm_y @ transform.x_tilde
+    return _chunk(_kernel(scheme, fit, dataset), seed, stream_path, range(b))
 
 
 def per_dataset_fwer(dist, observed):
@@ -576,7 +518,6 @@ def maxt_cutoff(dist, alpha, conf=0.95):
         eq_index = int(np.argmax(satisfies)) + 1
         c = float(stats[eq_index - 1])
         eq_satisfied = True
-        assert (int(np.count_nonzero(stats >= c)) + 1) / (b + 1) <= alpha
     else:
         eq_index = None
         c = quantile_value

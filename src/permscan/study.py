@@ -154,7 +154,10 @@ def _dataset_alpha_hats(config, k):
             alpha_hats[scheme] = per_dataset_fwer(dist, observed)
             seconds[scheme] = time.perf_counter() - start
     except PermscanError as exc:
-        raise type(exc)(f"dataset {k}: {exc}") from exc
+        # Re-raise the same object so that its type and context attributes
+        # (replicate, marker, row, column) survive the prefix.
+        exc.args = (f"dataset {k}: {exc}",)
+        raise
     return k, alpha_hats, seconds
 
 

@@ -187,6 +187,22 @@ class TestExitCodes:
         assert main(["study", "--out", str(tmp_path / "t.csv"), "--k", "0"]) == 5
         capsys.readouterr()
 
+    def test_full_model_residuals_on_wide_data_is_config_error(self, tmp_path, capsys):
+        # The full model has m + d columns, so it needs n > m + d rows.
+        data = tmp_path / "data"
+        simulate = ["simulate", "--n", "30", "--m", "40", "--out-dir", str(data)]
+        assert main(simulate) == 0
+        paths = [
+            str(data / name)
+            for name in ("phenotype.csv", "covariates.csv", "genotypes.csv")
+        ]
+        extra = ("--scheme", "full-model-residuals")
+        args = _scan_args(paths, tmp_path / "r.csv", extra=extra)
+        assert main(args) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "config error" in err and "n=30, m=40, d=2" in err
+
 
 class TestSimulateCommand:
     def test_writes_three_files(self, tmp_path):

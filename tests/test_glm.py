@@ -1,10 +1,17 @@
 """Tests for null-model fitting and the projection structures."""
 
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import expit
 
+import permscan
 from permscan import (
     Dataset,
     Family,
@@ -18,6 +25,12 @@ from permscan import (
 def _random_design(n, d, seed):
     rng = np.random.default_rng(seed)
     return np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
+
+
+def _residual_basis_fit():
+    rng = np.random.default_rng(11)
+    x_e = np.column_stack([np.ones(400), rng.standard_normal((400, 2))])
+    return fit_null(Family.NORMAL, rng.standard_normal(400), x_e)
 
 
 def _bernoulli_newton_oracle(y, x_e):
@@ -200,6 +213,26 @@ class TestQFactor:
     def test_cached(self):
         fit = fit_null(Family.NORMAL, np.arange(6.0), np.ones((6, 1)))
         assert fit.q_factor() is fit.q_factor()
+
+    def test_basis_does_not_depend_on_blas_threads(self, tmp_path):
+        # Modified-model permutes in this basis, so a basis that changed with
+        # the BLAS thread count would change its replicate statistics.
+        script = "\n".join(
+            [
+                "import sys",
+                "import numpy as np",
+                "from permscan import Family, fit_null",
+                inspect.getsource(_residual_basis_fit),
+                "np.save(sys.argv[1], _residual_basis_fit().q_factor())",
+            ]
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(permscan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "q.npy"
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        q = _residual_basis_fit().q_factor()
+        assert_allclose(np.load(out), q, rtol=0, atol=1e-10)
 
     def test_requires_residual_dimension(self):
         fit = fit_null(

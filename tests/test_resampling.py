@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 from scipy.special import ndtr
@@ -31,6 +33,7 @@ from permscan import (
     simulate_dataset,
 )
 from permscan.glm import Dataset, NullModelFit
+from permscan.rng import substream
 
 TRANSFORM_SCHEMES = [
     ResamplingScheme.FREEDMAN_LANE,
@@ -544,3 +547,97 @@ class TestMaxTDistributionInvariants:
                 scheme=ResamplingScheme.FREEDMAN_LANE,
                 seed=0,
             )
+
+
+def _ols_residuals(x_e, v):
+    return v - x_e @ np.linalg.lstsq(x_e, v, rcond=None)[0]
+
+
+def _random_markers(rng, n, m):
+    x_g = rng.integers(0, 3, (n, m)).astype(float)
+    x_g[:2] = [[0.0], [2.0]]  # no constant marker
+    return x_g
+
+
+class TestKernelReferences:
+    """Replicate maxima against plain-numpy refits of every replicate drawn
+    from the replicate's own stream."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(8, 30),
+        d=st.integers(1, 3),
+        m=st.integers(1, 4),
+        b=st.integers(1, 20),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normal_refit_schemes_match_lstsq(self, n, d, m, b, data_seed, seed):
+        rng = np.random.default_rng(data_seed)
+        x_e = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
+        x_g = _random_markers(rng, n, m)
+        y = x_e @ rng.standard_normal(d) + rng.standard_normal(n)
+        dataset = Dataset(y=y, x_e=x_e, x_g=x_g)
+        fit = fit_null(Family.NORMAL, y, x_e)
+        resid_x_sq = np.sum(_ols_residuals(x_e, x_g) ** 2, axis=0)
+        resid = _ols_residuals(x_e, y)
+        phi = resid @ resid / (n - d)
+
+        def refit(v):
+            r = _ols_residuals(x_e, v)
+            return r, r @ r / (n - d)
+
+        raw, boot = np.empty(b), np.empty(b)
+        for rep in range(b):
+            r, _ = refit(y[substream(seed, 3, rep).permutation(n)])
+            raw[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi * resid_x_sq)))
+            z = substream(seed, 3, rep).standard_normal(n)
+            r, phi_rep = refit(y - resid + np.sqrt(phi) * z)
+            boot[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi_rep * resid_x_sq)))
+        for scheme, reference in (
+            (ResamplingScheme.RAW_Y, raw),
+            (ResamplingScheme.PARAMETRIC_BOOTSTRAP, boot),
+        ):
+            dist = replicate_statistics(
+                scheme, fit, dataset, b, seed, stream_path=(3,)
+            )
+            assert_allclose(dist.max_stats, np.sort(reference), rtol=1e-10, atol=0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(5, 8),
+        frac=st.floats(0.25, 0.75),
+        m=st.integers(1, 3),
+        b=st.integers(1, 30),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=5, frac=0.25, m=2, b=30, data_seed=0, seed=0)
+    def test_binomial_bootstrap_redraws_constant_rows(
+        self, n, frac, m, b, data_seed, seed
+    ):
+        # With an intercept-only design and small n, some Bernoulli draws
+        # are all 0 or all 1 and separate; such a replicate takes the next
+        # draw of its own stream. A non-constant draw has the closed-form
+        # score t_j = x_j'(y - p) / sqrt(p (1 - p) sum_i (x_ij - mean_j)^2).
+        rng = np.random.default_rng(data_seed)
+        ones = min(max(round(frac * n), 1), n - 1)
+        y = rng.permutation(np.arange(n) < ones).astype(float)
+        x_g = _random_markers(rng, n, m)
+        dataset = Dataset(y=y, x_e=np.ones((n, 1)), x_g=x_g)
+        fit = fit_null(Family.BINOMIAL, y, dataset.x_e)
+        centered_sq = np.sum((x_g - x_g.mean(axis=0)) ** 2, axis=0)
+        reference = np.empty(b)
+        for rep in range(b):
+            gen = substream(seed, rep)
+            draw = (gen.random(n) < fit.mu_e).astype(float)
+            while draw.min() == draw.max():
+                draw = (gen.random(n) < fit.mu_e).astype(float)
+            p = draw.mean()
+            t = x_g.T @ (draw - p) / np.sqrt(p * (1.0 - p) * centered_sq)
+            reference[rep] = np.max(np.abs(t))
+        dist = replicate_statistics(
+            ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset, b, seed
+        )
+        # Integer data can cancel a numerator exactly, hence the absolute floor.
+        assert_allclose(dist.max_stats, np.sort(reference), rtol=1e-8, atol=1e-8)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from permscan import (
     ConfigError,
     Family,
+    ReplicateFailureError,
     ResamplingScheme,
     SimulationConfig,
     StudyConfig,
@@ -107,6 +108,16 @@ class TestRunStudy:
             assert 0.0 <= row["alpha_tilde"] <= 1.0
             assert row["config_hash"] == result.config_hash
             assert row["K"] == 2 and row["B"] == 20
+
+    def test_dataset_errors_keep_their_context(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ReplicateFailureError("replicate 3 failed", replicate=3)
+
+        monkeypatch.setattr("permscan.study.replicate_statistics", fail)
+        with pytest.raises(ReplicateFailureError) as info:
+            run_study(_small_config(k=2))
+        assert info.value.replicate == 3
+        assert "dataset 0" in str(info.value)
 
     def test_rejects_empty_schemes(self):
         sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
