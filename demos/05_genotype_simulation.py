@@ -14,7 +14,7 @@ import permscan as ps
 config = ps.SimulationConfig(
     n=50_000, m=4, family=ps.Family.NORMAL, maf_range=(0.3, 0.3), seed=1
 )
-genotypes, maf, _ = ps.simulate_genotypes(config)
+genotypes, maf = ps.simulate_genotypes(config)
 print("requested MAF:", maf)
 for value, expected in ((0, 0.49), (1, 0.42), (2, 0.09)):
     print(f"  genotype {value}: frequency {np.mean(genotypes == value):.4f} "
@@ -27,7 +27,7 @@ for rho in (0.0, 0.3, 0.7, 0.9):
     config = ps.SimulationConfig(
         n=400, m=100, family=ps.Family.NORMAL, rho=rho, seed=2
     )
-    genotypes, _, _ = ps.simulate_genotypes(config)
+    genotypes, _ = ps.simulate_genotypes(config)
     corr = np.corrcoef(genotypes.T)
     realized = corr[~np.eye(100, dtype=bool)].mean()
     print(f"  rho = {rho:.1f} -> {realized:.4f}")

@@ -13,7 +13,6 @@ from .errors import (
     FitError,
     InsufficientReplicatesError,
     InvalidCorrelationError,
-    NumericalDegeneracyError,
     ParseError,
     PermscanError,
     QuasiSeparationError,

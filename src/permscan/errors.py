@@ -39,10 +39,6 @@ class ConvergenceError(FitError):
     """Iterative fitting did not converge within the iteration budget."""
 
 
-class NumericalDegeneracyError(FitError):
-    """An eigenvalue/rank structure did not match its exact-arithmetic form."""
-
-
 class DegenerateMarkerError(FitError):
     """A marker has zero score variance (constant, or collinear with the
     covariates after variance weighting)."""

@@ -5,11 +5,13 @@ two structures every downstream computation needs: the diagonal of the
 estimated response variance and the weighted projection onto the covariate
 column space. Two response families are supported: normal (identity link,
 dispersion estimated from the residuals) and binomial with a 0/1 response
-(logit link, dispersion fixed at 1).
+(logit link, dispersion fixed at 1). The binomial fit is one batch IRLS,
+which also refits every resampling replicate that needs it.
 """
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -164,20 +166,99 @@ def _qr_solve(a, rhs):
     return coef, q
 
 
-def _bernoulli_loglik(y, mu):
+class BatchIrls(NamedTuple):
+    """Binomial IRLS fits of a batch of responses, one row each.
+
+    ``iterations`` counts the passes of the shared loop. A row failed when
+    a weighted system was ``singular``, its probabilities were
+    ``separated`` (reached 0 or 1) or it did not reach ``converged``.
+    """
+
+    coef: np.ndarray
+    mu: np.ndarray
+    iterations: int
+    singular: np.ndarray
+    separated: np.ndarray
+    converged: np.ndarray
+
+    @property
+    def ok(self):
+        return self.converged & ~self.singular & ~self.separated
+
+
+def batch_solve(a, rhs):
+    """Solve a (batch, d, d) system against vector or matrix right-hand
+    sides, falling back to a per-item loop when any system is singular."""
+    vector = rhs.ndim == 2
+    stacked = rhs[..., None] if vector else rhs
+    try:
+        out = np.linalg.solve(a, stacked)
+        return (out[..., 0] if vector else out), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros_like(stacked)
+        ok = np.ones(len(a), dtype=bool)
+        for i in range(len(a)):
+            try:
+                out[i] = np.linalg.solve(a[i], stacked[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+        return (out[..., 0] if vector else out), ok
+
+
+def _rowwise_loglik(ys, mu):
     mu = np.clip(mu, 1e-300, 1.0 - 1e-16)
-    return float(y @ np.log(mu) + (1.0 - y) @ np.log1p(-mu))
+    return np.einsum("bn,bn->b", ys, np.log(mu)) + np.einsum(
+        "bn,bn->b", 1.0 - ys, np.log1p(-mu)
+    )
+
+
+def binomial_irls(x_e, ys):
+    """Logistic fit of every 0/1 row of ``ys`` on ``x_e`` by batch IRLS.
+
+    Each pass solves the weighted normal equations of all rows at once. A
+    row has converged once its relative log-likelihood change drops below
+    IRLS_RTOL; the loop stops when every row has, or after IRLS_MAX_ITER
+    passes. Separation makes the likelihood creep forever, so it is
+    diagnosed on the final probabilities whether or not a row converged.
+    """
+    batch = ys.shape[0]
+    mu = (ys + 0.5) / 2.0
+    eta = np.log(mu / (1.0 - mu))
+    loglik = _rowwise_loglik(ys, mu)
+    converged = np.zeros(batch, dtype=bool)
+    singular = np.zeros(batch, dtype=bool)
+    for iteration in range(1, IRLS_MAX_ITER + 1):
+        w = mu * (1.0 - mu)
+        z = eta + (ys - mu) / w
+        a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
+        coef, ok = batch_solve(a, (w * z) @ x_e)
+        singular |= ~ok
+        eta = coef @ x_e.T
+        mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
+        loglik_new = _rowwise_loglik(ys, mu)
+        converged |= np.abs(loglik_new - loglik) < IRLS_RTOL * np.maximum(
+            np.abs(loglik), 1e-10
+        )
+        loglik = loglik_new
+        if converged.all():
+            break
+    separated = (mu.min(axis=1) < SEPARATION_TOL) | (
+        mu.max(axis=1) > 1.0 - SEPARATION_TOL
+    )
+    return BatchIrls(coef, mu, iteration, singular, separated, converged)
 
 
 def fit_null(family, y, x_e):
     """Fit the covariate-only model of ``y`` on ``x_e`` for ``family``.
 
     Normal responses use exact least squares with dispersion estimated as
-    ||residuals||^2 / (n - d). Binomial responses use iteratively reweighted
-    least squares to relative log-likelihood change below 1e-10 within 50
-    iterations; fits whose probabilities collapse to 0 or 1 are rejected as
-    quasi-separated.
+    ||residuals||^2 / (n - d). Binomial responses are the batch-of-one case
+    of ``binomial_irls``: relative log-likelihood change below 1e-10 within
+    50 iterations; fits whose probabilities collapse to 0 or 1 are rejected
+    as quasi-separated.
     """
+    if not isinstance(family, Family):
+        raise ValueError(f"unsupported family: {family!r}")
     y = np.ascontiguousarray(y, dtype=float)
     x_e = np.ascontiguousarray(x_e, dtype=float)
     n, d = x_e.shape
@@ -185,67 +266,38 @@ def fit_null(family, y, x_e):
         raise ValueError(f"y must have shape ({n},)")
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} observations, got {n}")
+    if family is Family.BINOMIAL and not np.isin(y, (0.0, 1.0)).all():
+        raise ValueError("binomial family requires a 0/1 response")
 
+    # The least-squares fit is also the rank check of x_e for both families.
+    coef, basis = _qr_solve(x_e, y)
+    iterations = 1
     if family is Family.NORMAL:
-        coef, basis = _qr_solve(x_e, y)
         mu = x_e @ coef
-        residuals = y - mu
-        phi = float(residuals @ residuals) / (n - d)
-        return NullModelFit(
-            family=family,
-            x_e=x_e,
-            coef=coef,
-            mu_e=mu,
-            variance_diag=np.full(n, phi),
-            residuals=residuals,
-            phi_hat=phi,
-            hat_basis=basis,
-            iterations=1,
-        )
-
-    if family is Family.BINOMIAL:
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("binomial family requires a 0/1 response")
-        mu = (y + 0.5) / 2.0
-        eta = np.log(mu / (1.0 - mu))
-        loglik = _bernoulli_loglik(y, mu)
-        converged = False
-        for iteration in range(1, IRLS_MAX_ITER + 1):
-            w = mu * (1.0 - mu)
-            sw = np.sqrt(w)
-            z = eta + (y - mu) / w
-            coef, basis = _qr_solve(sw[:, None] * x_e, sw * z)
-            eta = x_e @ coef
-            mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-            loglik_new = _bernoulli_loglik(y, mu)
-            rel_change = abs(loglik_new - loglik) / max(abs(loglik), 1e-10)
-            loglik = loglik_new
-            if rel_change < IRLS_RTOL:
-                converged = True
-                break
-        # Separation makes the likelihood creep forever, so diagnose it
-        # whether or not the tolerance was reached.
-        if mu.min() < SEPARATION_TOL or mu.max() > 1.0 - SEPARATION_TOL:
+        phi = float((y - mu) @ (y - mu)) / (n - d)
+    else:
+        fit = binomial_irls(x_e, y[None, :])
+        if fit.singular[0]:
+            raise SingularDesignError("weighted design matrix is singular")
+        if fit.separated[0]:
             raise QuasiSeparationError(
                 "fitted probabilities reached 0/1; data are quasi-separated"
             )
-        if not converged:
+        if not fit.converged[0]:
             raise ConvergenceError(
                 f"IRLS did not converge within {IRLS_MAX_ITER} iterations"
             )
-        variance = mu * (1.0 - mu)
-        # Basis must correspond to the converged weights.
-        _, basis = _qr_solve(np.sqrt(variance)[:, None] * x_e, y)
-        return NullModelFit(
-            family=family,
-            x_e=x_e,
-            coef=coef,
-            mu_e=mu,
-            variance_diag=variance,
-            residuals=y - mu,
-            phi_hat=1.0,
-            hat_basis=basis,
-            iterations=iteration,
-        )
-
-    raise ValueError(f"unsupported family: {family!r}")
+        coef, mu, iterations, phi = fit.coef[0], fit.mu[0], fit.iterations, 1.0
+        # The hat basis belongs to the converged weights.
+        _, basis = _qr_solve(np.sqrt(family.variance(mu))[:, None] * x_e, y)
+    return NullModelFit(
+        family=family,
+        x_e=x_e,
+        coef=coef,
+        mu_e=mu,
+        variance_diag=family.variance(mu, phi),
+        residuals=y - mu,
+        phi_hat=phi,
+        hat_basis=basis,
+        iterations=iterations,
+    )

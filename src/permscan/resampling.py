@@ -59,7 +59,7 @@ from itertools import permutations as _all_permutations
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import expit, ndtr
+from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -67,7 +67,7 @@ from .errors import (
     InvalidCorrelationError,
     ReplicateFailureError,
 )
-from .glm import IRLS_MAX_ITER, IRLS_RTOL, SEPARATION_TOL, Family, fit_null
+from .glm import Family, batch_solve, binomial_irls, fit_null
 from .rng import substream
 from .score import DEGENERATE_TOL, score_denominators
 
@@ -125,7 +125,6 @@ class Transform(NamedTuple):
 
     y_tilde: np.ndarray
     x_tilde: np.ndarray
-    length: int
 
 
 @dataclass(frozen=True)
@@ -228,7 +227,7 @@ def exchangeable_transform(scheme, fit, dataset):
         x_t = x_g / denom
     else:  # pragma: no cover - exhaustive over enum
         raise ConfigError(f"unknown scheme {scheme!r}")
-    return Transform(y_tilde=y_t, x_tilde=x_t, length=y_t.shape[0])
+    return Transform(y_tilde=y_t, x_tilde=x_t)
 
 
 class _Kernel(NamedTuple):
@@ -261,79 +260,21 @@ def _linear(x_map, hat_basis=None):
     return evaluate
 
 
-def _rowwise_loglik(ys, mu):
-    mu = np.clip(mu, 1e-300, 1.0 - 1e-16)
-    return np.einsum("bn,bn->b", ys, np.log(mu)) + np.einsum(
-        "bn,bn->b", 1.0 - ys, np.log1p(-mu)
-    )
-
-
-def _batch_solve(a, rhs):
-    """Solve a (batch, d, d) system against vector or matrix right-hand
-    sides, falling back to a per-item loop when any system is singular."""
-    vector = rhs.ndim == 2
-    stacked = rhs[..., None] if vector else rhs
-    try:
-        out = np.linalg.solve(a, stacked)
-        return (out[..., 0] if vector else out), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        out = np.zeros_like(stacked)
-        ok = np.ones(len(a), dtype=bool)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], stacked[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return (out[..., 0] if vector else out), ok
-
-
-def _batch_irls_mu(x_e, ys):
-    """Batch-IRLS fit of the binomial null mean per row of ``ys``.
-
-    Returns (mu, ok): rows that separate, fail to converge, or hit a
-    singular weighted system are flagged unsuccessful.
-    """
-    batch = ys.shape[0]
-    mu = (ys + 0.5) / 2.0
-    eta = np.log(mu / (1.0 - mu))
-    loglik = _rowwise_loglik(ys, mu)
-    converged = np.zeros(batch, dtype=bool)
-    solvable = np.ones(batch, dtype=bool)
-    for _ in range(IRLS_MAX_ITER):
-        w = mu * (1.0 - mu)
-        z = eta + (ys - mu) / w
-        a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
-        coef, ok = _batch_solve(a, (w * z) @ x_e)
-        solvable &= ok
-        eta = coef @ x_e.T
-        mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-        loglik_new = _rowwise_loglik(ys, mu)
-        converged |= np.abs(loglik_new - loglik) < IRLS_RTOL * np.maximum(
-            np.abs(loglik), 1e-10
-        )
-        loglik = loglik_new
-        if converged.all():
-            break
-    separated = (mu.min(axis=1) < SEPARATION_TOL) | (
-        mu.max(axis=1) > 1.0 - SEPARATION_TOL
-    )
-    return mu, converged & solvable & ~separated
-
-
 def _binomial_refit(x_e, x_g, denom):
     """Evaluator that refits the binomial null mean on every row. With the
     observed ``denom`` only the mean is refit; with ``denom=None`` the
     variance weights and denominators are recomputed too."""
 
     def evaluate(rows):
-        mu, ok = _batch_irls_mu(x_e, rows)
+        fit = binomial_irls(x_e, rows)
+        mu, ok = fit.mu, fit.ok
         row_denom = denom
         if denom is None:
             w = mu * (1.0 - mu)
             term1 = w @ (x_g**2)
             cross = np.einsum("ni,bn,nj->bij", x_e, w, x_g, optimize=True)
             a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
-            sol, solve_ok = _batch_solve(a, cross)
+            sol, solve_ok = batch_solve(a, cross)
             ok &= solve_ok
             denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
             ok &= np.all(

@@ -98,18 +98,10 @@ def score_correlation(fit, x_g, dense_limit=DENSE_CORRELATION_LIMIT):
             f"correlation matrix for m={m} markers exceeds the dense limit "
             f"{dense_limit}; this output is for diagnostic use only"
         )
+    scale = score_denominators(fit, x_g)
     a = _weighted_markers(fit, x_g)
     projected = fit.hat_basis.T @ a
     cov = a.T @ a - projected.T @ projected
-    scale = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    bad = np.flatnonzero(
-        (scale <= DEGENERATE_TOL)
-        | (np.diag(cov) <= np.einsum("ij,ij->j", a, a) * DEGENERATE_TOL)
-    )
-    if bad.size:
-        raise DegenerateMarkerError(
-            f"marker {bad[0]} has zero score variance", marker=int(bad[0])
-        )
     r = cov / np.outer(scale, scale)
     np.fill_diagonal(r, 1.0)
     return ScoreCorrelation(r=np.clip(r, -1.0, 1.0))

@@ -69,7 +69,6 @@ class SimulatedDataset:
 
     dataset: Dataset
     true_maf: np.ndarray
-    latent_factor: np.ndarray
 
 
 def correlation_factor(m, rho):
@@ -98,7 +97,7 @@ def _draw_alleles(gen, n, factor, threshold):
 
 
 def simulate_genotypes(config, *, stream_path=()):
-    """Draw the genotype matrix, its MAF vector and the latent factor.
+    """Draw the genotype matrix and its MAF vector.
 
     Each marker's MAF is drawn once per dataset from ``maf_range``; both DNA
     copies of every individual are dichotomized at the same normal quantile
@@ -116,7 +115,7 @@ def simulate_genotypes(config, *, stream_path=()):
         copy_two = _draw_alleles(gen, config.n, factor, threshold)
         genotypes = (copy_one.astype(np.int8) + copy_two.astype(np.int8)).astype(float)
         if np.all(genotypes.min(axis=0) < genotypes.max(axis=0)):
-            return genotypes, maf, factor
+            return genotypes, maf
     raise ConfigError(
         f"dataset kept producing monomorphic markers after "
         f"{MONOMORPHIC_RETRIES} redraws; widen maf_range or increase n"
@@ -142,11 +141,10 @@ def simulate_dataset(config, *, stream_path=()):
     covariate = substream(config.seed, *stream_path, _LANE_COVARIATE).standard_normal(
         config.n
     )
-    genotypes, maf, factor = simulate_genotypes(config, stream_path=stream_path)
+    genotypes, maf = simulate_genotypes(config, stream_path=stream_path)
     y = simulate_phenotype(config, covariate, stream_path=stream_path)
     x_e = np.column_stack([np.ones(config.n), covariate])
     return SimulatedDataset(
         dataset=Dataset(y=y, x_e=x_e, x_g=genotypes),
         true_maf=maf,
-        latent_factor=factor,
     )

@@ -12,10 +12,11 @@ from numpy.testing import assert_allclose
 from scipy.special import expit
 
 import permscan
+from permscan import glm
 from permscan import (
+    ConvergenceError,
     Dataset,
     Family,
-    NumericalDegeneracyError,
     QuasiSeparationError,
     SingularDesignError,
     fit_null,
@@ -134,6 +135,19 @@ class TestBinomialFit:
         y = (z > 0).astype(float)
         with pytest.raises(QuasiSeparationError):
             fit_null(Family.BINOMIAL, y, x_e)
+
+    def test_rank_deficient_design_rejected(self):
+        z = np.linspace(-1, 1, 30)
+        x_e = np.column_stack([np.ones(30), z, 2 * z])
+        y = (np.arange(30) % 3 == 0).astype(float)
+        with pytest.raises(SingularDesignError):
+            fit_null(Family.BINOMIAL, y, x_e)
+
+    def test_iteration_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(glm, "IRLS_MAX_ITER", 1)
+        y = (np.arange(30) % 3 == 0).astype(float)
+        with pytest.raises(ConvergenceError):
+            fit_null(Family.BINOMIAL, y, _random_design(30, 2, 17))
 
     def test_non_binary_response_rejected(self):
         with pytest.raises(ValueError):

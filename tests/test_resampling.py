@@ -77,14 +77,13 @@ class TestExchangeableTransform:
             ResamplingScheme.FREEDMAN_LANE, fit, dataset
         )
         assert_allclose(transform.y_tilde, y - y.mean(), atol=1e-12)
-        assert transform.length == 12
 
     def test_modified_model_preserves_residual_norm(self):
         dataset, fit = _normal_instance()
         transform = exchangeable_transform(
             ResamplingScheme.MODIFIED_MODEL, fit, dataset
         )
-        assert transform.length == dataset.n - dataset.d
+        assert transform.y_tilde.shape == (dataset.n - dataset.d,)
         projected = dataset.y - fit.hat_apply(dataset.y)
         assert_allclose(
             transform.y_tilde @ transform.y_tilde, projected @ projected, atol=1e-10

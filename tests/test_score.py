@@ -153,3 +153,10 @@ class TestCorrelation:
         fit = fit_null(Family.BINOMIAL, y, x_e)
         with pytest.raises(SizeLimitError):
             score_correlation(fit, x_g, dense_limit=3)
+
+    def test_constant_marker_is_degenerate(self):
+        y, x_e, x_g = _binomial_instance(seed=9)
+        x_g[:, 2] = 1.0
+        with pytest.raises(DegenerateMarkerError) as info:
+            score_correlation(fit_null(Family.BINOMIAL, y, x_e), x_g)
+        assert info.value.marker == 2

@@ -55,7 +55,7 @@ class TestGenotypes:
         config = SimulationConfig(
             n=100_000, m=2, family=Family.NORMAL, maf_range=(0.5, 0.5), seed=1
         )
-        genotypes, maf, _ = simulate_genotypes(config)
+        genotypes, maf = simulate_genotypes(config)
         assert_allclose(maf, 0.5, atol=0)
         n = config.n
         for expected, value in ((0.25, 0.0), (0.5, 1.0), (0.25, 2.0)):
@@ -68,14 +68,14 @@ class TestGenotypes:
         config = SimulationConfig(
             n=100_000, m=3, family=Family.NORMAL, maf_range=(p, p), seed=2
         )
-        genotypes, _, _ = simulate_genotypes(config)
+        genotypes, _ = simulate_genotypes(config)
         allele_freq = genotypes.mean(axis=0) / 2.0
         tolerance = 3 * np.sqrt(p * (1 - p) / (2 * config.n))
         assert np.all(np.abs(allele_freq - p) <= tolerance)
 
     def test_entries_are_genotypes(self):
         config = SimulationConfig(n=500, m=20, family=Family.NORMAL, rho=0.4, seed=3)
-        genotypes, _, _ = simulate_genotypes(config)
+        genotypes, _ = simulate_genotypes(config)
         assert set(np.unique(genotypes)) <= {0.0, 1.0, 2.0}
 
     def test_latent_correlation_attenuates(self):
@@ -86,7 +86,7 @@ class TestGenotypes:
             config = SimulationConfig(
                 n=400, m=100, family=Family.NORMAL, rho=0.7, seed=500 + k
             )
-            genotypes, _, _ = simulate_genotypes(config)
+            genotypes, _ = simulate_genotypes(config)
             corr = np.corrcoef(genotypes.T)
             off = corr[~np.eye(100, dtype=bool)]
             per_dataset.append(off.mean())
@@ -100,7 +100,7 @@ class TestGenotypes:
         config = SimulationConfig(
             n=3, m=1, family=Family.NORMAL, maf_range=(0.05, 0.05), seed=4
         )
-        genotypes, _, _ = simulate_genotypes(config)
+        genotypes, _ = simulate_genotypes(config)
         assert genotypes[:, 0].min() < genotypes[:, 0].max()
 
 
