@@ -40,14 +40,15 @@ of rows to a block of statistics and is one of two kinds:
   denominators (raw-y), or of the mean, variance weights and denominators
   (bootstrap).
 
-Replicate b draws from its own counter-based stream keyed by
-``(seed, *stream_path, b)``, making results independent of worker count and
-evaluation order. A row whose binomial refit fails (separation,
-non-convergence, a singular system) takes the next draw from the same
-stream, at most ``MAX_REPLICATE_RETRIES`` times. Test hooks replace the
-draws with fixed rows: the base row (``force_identity``) or all of its
-permutations (``exhaustive``). A fixed row is never redrawn, so its failed
-refit raises at once.
+Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
+each block from one counter-based stream keyed by ``(seed, *stream_path,
+block)``, making results independent of worker count and evaluation order.
+A row whose binomial refit fails (separation, non-convergence, a singular
+system) is redrawn, at most ``MAX_REPLICATE_RETRIES`` times; attempt a of
+replicate b draws from the stream ``(seed, *stream_path, b, a)``, whose key
+is longer than a block's. Test hooks replace the draws with fixed rows: the
+base row (``force_identity``) or all of its permutations (``exhaustive``).
+A fixed row is never redrawn, so its failed refit raises at once.
 """
 
 import enum
@@ -89,6 +90,8 @@ __all__ = [
 
 MAX_REPLICATE_RETRIES = 10
 EXHAUSTIVE_LENGTH_LIMIT = 8
+# Replicates per random stream. Part of the stream definition: changing it
+# changes every draw. Fixed blocks keep results independent of ``workers``.
 _CHUNK = 1024
 
 
@@ -231,9 +234,9 @@ def exchangeable_transform(scheme, fit, dataset):
 
 
 class _Kernel(NamedTuple):
-    """A scheme's replicate machinery: ``draw(gen)`` returns one replicate
-    row, ``base`` is the row of the identity replicate, and
-    ``evaluate(rows)`` maps a (rows, length) block to its (rows, m)
+    """A scheme's replicate machinery: ``draw(gen, rows)`` returns a
+    (rows, length) block of replicate rows, ``base`` is the identity
+    replicate's row, and ``evaluate(block)`` maps a block to its (rows, m)
     statistics and a mask of the rows whose refit succeeded."""
 
     base: np.ndarray
@@ -242,7 +245,11 @@ class _Kernel(NamedTuple):
 
 
 def _permuting(base, evaluate):
-    return _Kernel(base, lambda gen: base[gen.permutation(base.shape[0])], evaluate)
+    def draw(gen, rows):
+        block = np.tile(base, (rows, 1))
+        return gen.permuted(block, axis=1, out=block)
+
+    return _Kernel(base, draw, evaluate)
 
 
 def _linear(x_map, hat_basis=None):
@@ -301,50 +308,49 @@ def _kernel(scheme, fit, dataset):
         unit_denom = np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
         return _Kernel(
             fit.residuals / math.sqrt(fit.phi_hat),
-            lambda gen: gen.standard_normal(n),
+            lambda gen, rows: gen.standard_normal((rows, n)),
             _linear(resid_x / unit_denom, fit.hat_basis),
         )
     if not bootstrap:
         return _permuting(dataset.y, _binomial_refit(fit.x_e, x_g, denom))
     return _Kernel(
         dataset.y,
-        lambda gen: (gen.random(n) < fit.mu_e).astype(float),
+        lambda gen, rows: (gen.random((rows, n)) < fit.mu_e).astype(float),
         _binomial_refit(fit.x_e, x_g, None),
     )
 
 
-def _draw(kernel, gens):
-    rows = np.empty((len(gens), kernel.base.shape[0]))
-    for row, gen in zip(rows, gens):
-        row[:] = kernel.draw(gen)
-    return rows
-
-
 def _chunk(kernel, seed, path, indices, rows=None):
-    """(len(indices), m) statistics of the replicates ``indices``.
+    """(len(indices), m) statistics of the replicate block ``indices``.
 
-    Replicate b draws its row from ``substream(seed, *path, b)`` unless
-    fixed ``rows`` are given. A drawn row whose refit fails takes the next
-    draw from the same generator, at most MAX_REPLICATE_RETRIES times; a
-    fixed row whose refit fails raises at once.
+    Unless fixed ``rows`` are given, all rows come from the block's stream
+    ``substream(seed, *path, block)``, and attempt a to redraw a replicate b
+    whose refit failed draws one row from ``substream(seed, *path, b, a)``.
+    A fixed row whose refit fails raises at once.
     """
-    gens = []
-    if rows is None:
-        gens = [substream(seed, *path, b) for b in indices]
-        rows = _draw(kernel, gens)
+    fixed = rows is not None
+    if not fixed:
+        gen = substream(seed, *path, indices.start // _CHUNK)
+        rows = kernel.draw(gen, len(indices))
     stats, ok = kernel.evaluate(rows)
     failed = np.flatnonzero(~ok)
-    for _ in range(MAX_REPLICATE_RETRIES if gens else 0):
-        if not failed.size:
+    for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
+        if fixed or not failed.size:
             break
-        retry_stats, ok = kernel.evaluate(_draw(kernel, [gens[i] for i in failed]))
+        gens = (substream(seed, *path, indices[i], attempt) for i in failed)
+        retry_stats, ok = kernel.evaluate(np.vstack([kernel.draw(g, 1) for g in gens]))
         stats[failed] = retry_stats
         failed = failed[~ok]
     if failed.size:
-        b = int(indices[failed[0]])
-        how = f"after {MAX_REPLICATE_RETRIES} retries" if gens else "to refit"
+        b = indices[failed[0]]
+        how = "to refit" if fixed else f"after {MAX_REPLICATE_RETRIES} retries"
         raise ReplicateFailureError(f"replicate {b} failed {how}", replicate=b)
     return stats
+
+
+def _blocks(b):
+    """The replicate ranges of the stream blocks of ``b`` replicates."""
+    return [range(lo, min(lo + _CHUNK, b)) for lo in range(0, b, _CHUNK)]
 
 
 def _exhaustive_distribution(scheme, fit, dataset, seed):
@@ -359,13 +365,8 @@ def _exhaustive_distribution(scheme, fit, dataset, seed):
     kernel = _kernel(scheme, fit, dataset)
     perms = np.array(list(_all_permutations(range(length))), dtype=np.intp)
     stats = _chunk(kernel, seed, (), range(len(perms)), rows=kernel.base[perms])
-    return MaxTDistribution(
-        max_stats=np.sort(np.max(np.abs(stats), axis=1)),
-        b=len(perms),
-        scheme=scheme,
-        seed=seed,
-        exhaustive=True,
-    )
+    maxima = np.sort(np.max(np.abs(stats), axis=1))
+    return MaxTDistribution(maxima, len(perms), scheme, seed, exhaustive=True)
 
 
 def replicate_statistics(
@@ -382,9 +383,10 @@ def replicate_statistics(
 ):
     """Generate the maxT null distribution for ``scheme``.
 
-    ``b`` replicates are drawn from per-replicate streams keyed by
-    ``(seed, *stream_path, replicate)``; results are identical for any
-    ``workers`` value. ``exhaustive`` enumerates all permutations (tiny
+    ``b`` replicates are drawn in blocks of ``_CHUNK``, each from the stream
+    ``(seed, *stream_path, block)``, and retries from
+    ``(seed, *stream_path, replicate, attempt)``; results are identical for
+    any ``workers`` value. ``exhaustive`` enumerates all permutations (tiny
     problems only) and ``force_identity`` replaces every draw with the
     identity permutation/resample; both are test hooks.
     """
@@ -399,27 +401,25 @@ def replicate_statistics(
         stats = _chunk(kernel, seed, stream_path, indices, rows)
         return np.max(np.abs(stats), axis=1)
 
-    chunks = [range(lo, min(lo + _CHUNK, b)) for lo in range(0, b, _CHUNK)]
-    maxima = np.empty(b)
-    if workers > 1 and len(chunks) > 1:
+    blocks = _blocks(b)
+    if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            for chunk, result in zip(chunks, pool.map(run, chunks)):
-                maxima[chunk.start : chunk.stop] = result
+            maxima = np.concatenate(list(pool.map(run, blocks)))
     else:
-        for chunk in chunks:
-            maxima[chunk.start : chunk.stop] = run(chunk)
-    return MaxTDistribution(
-        max_stats=np.sort(maxima), b=b, scheme=scheme, seed=seed
-    )
+        maxima = np.concatenate([run(block) for block in blocks])
+    return MaxTDistribution(max_stats=np.sort(maxima), b=b, scheme=scheme, seed=seed)
 
 
 def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
     """Full (b, m) matrix of replicate statistics.
 
     Diagnostic helper: the kernel of ``replicate_statistics`` without the
-    reduction to maxima.
+    reduction to maxima, over the same blocks, so row r is replicate r.
     """
-    return _chunk(_kernel(scheme, fit, dataset), seed, stream_path, range(b))
+    if b < 1:
+        raise ConfigError("need at least one replicate")
+    kernel = _kernel(scheme, fit, dataset)
+    return np.vstack([_chunk(kernel, seed, stream_path, block) for block in _blocks(b)])
 
 
 def per_dataset_fwer(dist, observed):

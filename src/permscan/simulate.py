@@ -2,7 +2,8 @@
 
 Genotypes are generated from a latent multivariate normal: each DNA copy of
 an individual draws a standard normal vector, correlates it through the
-square-root factor of the marker correlation matrix, and dichotomizes at
+closed-form symmetric square root of the compound-symmetry marker
+correlation matrix (no matrix decomposition), and dichotomizes at
 the normal quantile of the minor-allele frequency. Summing the two
 independent copies yields additive 0/1/2 genotypes whose marginal allele
 frequency equals the requested MAF; realized genotype correlations are an
@@ -72,22 +73,18 @@ class SimulatedDataset:
 
 
 def correlation_factor(m, rho):
-    """Square-root factor S of the compound-symmetry correlation matrix.
+    """Symmetric square root S of the compound-symmetry correlation matrix.
 
-    S = U sqrt(D) from the singular value decomposition of the matrix with
-    unit diagonal and constant off-diagonal ``rho``; S @ S.T reconstructs
-    the correlation matrix. ``rho == 0`` returns the identity.
+    The matrix (1 - rho) I + rho J (J all ones) has the closed-form root
+    S = sqrt(1 - rho) I + (sqrt(1 + (m - 1) rho) - sqrt(1 - rho)) / m J, so S
+    does not depend on the BLAS thread count. ``rho == 0`` gives the identity.
     """
     if not 0.0 <= rho < 1.0:
         raise ConfigError("compound symmetry requires 0 <= rho < 1")
-    if rho == 0.0:
-        return np.eye(m)
-    sigma = np.full((m, m), rho)
-    np.fill_diagonal(sigma, 1.0)
-    u, singular_values, _ = np.linalg.svd(sigma)
-    if singular_values.min() < -1e-12:
-        raise ConfigError("correlation matrix is not positive semidefinite")
-    return u * np.sqrt(np.maximum(singular_values, 0.0))
+    diagonal = np.sqrt(1.0 - rho)
+    factor = np.full((m, m), (np.sqrt(1.0 + (m - 1) * rho) - diagonal) / m)
+    factor[np.diag_indices(m)] += diagonal
+    return factor
 
 
 def _draw_alleles(gen, n, factor, threshold):

@@ -1,6 +1,7 @@
 """Tests for the resampling schemes and the maxT calibration machinery."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from permscan import (
     score_statistics,
     simulate_dataset,
 )
+from permscan import resampling
 from permscan.glm import Dataset, NullModelFit
 from permscan.rng import substream
 
@@ -224,17 +226,42 @@ class TestReplicateStatistics:
             )
             assert np.array_equal(serial.max_stats, threaded.max_stats)
 
-    def test_maxima_match_replicate_matrix(self):
+    @pytest.mark.parametrize("b", [40, 1500])
+    def test_maxima_match_replicate_matrix(self, b):
         dataset, fit = _normal_instance(seed=106)
         matrix = replicate_matrix(
-            ResamplingScheme.FREEDMAN_LANE, fit, dataset, 40, seed=13
+            ResamplingScheme.FREEDMAN_LANE, fit, dataset, b, seed=13
         )
         dist = replicate_statistics(
-            ResamplingScheme.FREEDMAN_LANE, fit, dataset, 40, seed=13
+            ResamplingScheme.FREEDMAN_LANE, fit, dataset, b, seed=13
         )
         assert_allclose(
             np.sort(np.max(np.abs(matrix), axis=1)), dist.max_stats, atol=0
         )
+
+    def test_block_rows_come_in_replicate_order(self):
+        dataset, fit = _normal_instance(seed=106)
+        short, long = (
+            replicate_matrix(ResamplingScheme.RAW_Y, fit, dataset, b, seed=13)
+            for b in (40, 1500)
+        )
+        assert np.array_equal(short, long[:40])
+
+    @pytest.mark.parametrize("b", [1, 1024, 1025, 2100])
+    def test_one_stream_per_block(self, b, monkeypatch):
+        dataset, fit = _binomial_instance(seed=107)
+        keys = []
+
+        def counting(seed, *path):
+            keys.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(resampling, "substream", counting)
+        replicate_statistics(
+            ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset, b, 5, stream_path=(4,)
+        )
+        blocks = math.ceil(b / resampling._CHUNK)
+        assert keys == [(4, j) for j in range(blocks)]
 
     def test_replicate_failure_reports_index(self):
         # A fitted null with fitted probabilities ~1e-4 makes bootstrap
@@ -265,10 +292,9 @@ class TestReplicateStatistics:
 
     def test_rejects_zero_replicates(self):
         dataset, fit = _normal_instance()
-        with pytest.raises(ConfigError):
-            replicate_statistics(
-                ResamplingScheme.FREEDMAN_LANE, fit, dataset, 0, seed=0
-            )
+        for run in (replicate_statistics, replicate_matrix):
+            with pytest.raises(ConfigError):
+                run(ResamplingScheme.FREEDMAN_LANE, fit, dataset, 0, seed=0)
 
 
 class TestExhaustiveMode:
@@ -559,8 +585,9 @@ def _random_markers(rng, n, m):
 
 
 class TestKernelReferences:
-    """Replicate maxima against plain-numpy refits of every replicate drawn
-    from the replicate's own stream."""
+    """Replicate maxima against plain-numpy refits of every replicate, with
+    the rows drawn from the block stream and retries from their own
+    ``(replicate, attempt)`` streams."""
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -586,12 +613,13 @@ class TestKernelReferences:
             r = _ols_residuals(x_e, v)
             return r, r @ r / (n - d)
 
+        permuted = substream(seed, 3, 0).permuted(np.tile(y, (b, 1)), axis=1)
+        noise = substream(seed, 3, 0).standard_normal((b, n))
         raw, boot = np.empty(b), np.empty(b)
         for rep in range(b):
-            r, _ = refit(y[substream(seed, 3, rep).permutation(n)])
+            r, _ = refit(permuted[rep])
             raw[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi * resid_x_sq)))
-            z = substream(seed, 3, rep).standard_normal(n)
-            r, phi_rep = refit(y - resid + np.sqrt(phi) * z)
+            r, phi_rep = refit(y - resid + np.sqrt(phi) * noise[rep])
             boot[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi_rep * resid_x_sq)))
         for scheme, reference in (
             (ResamplingScheme.RAW_Y, raw),
@@ -616,9 +644,10 @@ class TestKernelReferences:
         self, n, frac, m, b, data_seed, seed
     ):
         # With an intercept-only design and small n, some Bernoulli draws
-        # are all 0 or all 1 and separate; such a replicate takes the next
-        # draw of its own stream. A non-constant draw has the closed-form
-        # score t_j = x_j'(y - p) / sqrt(p (1 - p) sum_i (x_ij - mean_j)^2).
+        # are all 0 or all 1 and separate; retry a of such a replicate draws
+        # from the stream (seed, replicate, a). A non-constant draw has the
+        # closed-form score
+        # t_j = x_j'(y - p) / sqrt(p (1 - p) sum_i (x_ij - mean_j)^2).
         rng = np.random.default_rng(data_seed)
         ones = min(max(round(frac * n), 1), n - 1)
         y = rng.permutation(np.arange(n) < ones).astype(float)
@@ -626,12 +655,14 @@ class TestKernelReferences:
         dataset = Dataset(y=y, x_e=np.ones((n, 1)), x_g=x_g)
         fit = fit_null(Family.BINOMIAL, y, dataset.x_e)
         centered_sq = np.sum((x_g - x_g.mean(axis=0)) ** 2, axis=0)
+        block = (substream(seed, 0).random((b, n)) < fit.mu_e).astype(float)
         reference = np.empty(b)
         for rep in range(b):
-            gen = substream(seed, rep)
-            draw = (gen.random(n) < fit.mu_e).astype(float)
+            draw, attempt = block[rep], 0
             while draw.min() == draw.max():
-                draw = (gen.random(n) < fit.mu_e).astype(float)
+                attempt += 1
+                uniform = substream(seed, rep, attempt).random(n)
+                draw = (uniform < fit.mu_e).astype(float)
             p = draw.mean()
             t = x_g.T @ (draw - p) / np.sqrt(p * (1.0 - p) * centered_sq)
             reference[rep] = np.max(np.abs(t))

@@ -1,5 +1,10 @@
 """Tests for the correlated-genotype and null-phenotype simulator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +12,7 @@ from scipy import integrate
 from scipy import stats as sps
 from scipy.special import expit
 
+import permscan
 from permscan import (
     ConfigError,
     Family,
@@ -46,6 +52,34 @@ class TestCorrelationFactor:
             correlation_factor(5, 1.0)
         with pytest.raises(ConfigError):
             correlation_factor(5, -0.2)
+
+    def test_genotypes_do_not_depend_on_blas_threads(self, tmp_path):
+        # The eigenvalue 1 - rho of the latent correlation is repeated m - 1
+        # times, so a factor taken from a decomposition would follow the
+        # LAPACK thread path and change the simulated genotypes with it.
+        config = "SimulationConfig(n=50, m=2000, family=Family.NORMAL, rho=0.5)"
+        script = "\n".join(
+            [
+                "import sys",
+                "import numpy as np",
+                "from permscan import Family, SimulationConfig",
+                "from permscan import correlation_factor, simulate_genotypes",
+                "np.save(sys.argv[1], correlation_factor(2000, 0.5))",
+                f"np.save(sys.argv[2], simulate_genotypes({config})[0])",
+            ]
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(permscan.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        factor, genotypes = tmp_path / "factor.npy", tmp_path / "genotypes.npy"
+        subprocess.run(
+            [sys.executable, "-c", script, str(factor), str(genotypes)],
+            env=env,
+            check=True,
+        )
+        sim = SimulationConfig(n=50, m=2000, family=Family.NORMAL, rho=0.5)
+        assert np.load(factor).tobytes() == correlation_factor(2000, 0.5).tobytes()
+        assert np.load(genotypes).tobytes() == simulate_genotypes(sim)[0].tobytes()
 
 
 class TestGenotypes:
