@@ -113,15 +113,12 @@ def run_scan(
     b=1000,
     alpha=0.05,
     seed=0,
-    workers=1,
 ):
     """Ingest the CSV files, run the scheme and build a ScanReport."""
     dataset, marker_names = ingest(phenotype, genotypes, covariates)
     fit = fit_null(family, dataset.y, dataset.x_e)
     observed = score_statistics(fit, dataset.x_g)
-    dist = replicate_statistics(
-        scheme, fit, dataset, b, seed, workers=workers
-    )
+    dist = replicate_statistics(scheme, fit, dataset, b, seed)
     cutoff = maxt_cutoff(dist, alpha)
     alpha_bonf, alpha_sidak = bonferroni_sidak(dataset.m, alpha)
     p_values = 2.0 * ndtr(-np.abs(observed.t))
@@ -216,7 +213,7 @@ def _add_scan_parser(subparsers):
     p.add_argument("--b", type=int, default=1000, help="number of replicates")
     p.add_argument("--alpha", type=float, default=0.05, help="target FWER level")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, default=None, help="parallelism hint")
+    p.add_argument("--workers", type=int, help="accepted; scan runs serially")
     p.add_argument("--out", required=True, help="report path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -360,7 +357,8 @@ def _resolve_study_config(args):
 
 
 def _cmd_scan(args):
-    workers = args.workers if args.workers is not None else _default_workers()
+    if args.workers is None:
+        _default_workers()  # validated for symmetry with study; scan is serial
     report = run_scan(
         phenotype=args.phenotype,
         genotypes=args.genotypes,
@@ -370,7 +368,6 @@ def _cmd_scan(args):
         b=args.b,
         alpha=args.alpha,
         seed=args.seed,
-        workers=workers,
     )
     write_scan_report(report, args.out, args.format)
     rejected = int(report.rejected.sum())

@@ -9,6 +9,7 @@ write/read round trip is bitwise exact.
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -48,13 +49,20 @@ def _parse_float(value, path, row, col):
             column=col,
         )
     try:
-        return float(value)
+        number = float(value)
     except ValueError as exc:
         raise ParseError(
             f"{path}: cannot parse {value!r} at row {row}, column {col}",
             row=row,
             column=col,
         ) from exc
+    if not math.isfinite(number):
+        raise ParseError(
+            f"{path}: non-finite value {value!r} at row {row}, column {col}",
+            row=row,
+            column=col,
+        )
+    return number
 
 
 def _parse_matrix(path, expected_cols=None):

@@ -42,7 +42,7 @@ of rows to a block of statistics and is one of two kinds:
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream keyed by ``(seed, *stream_path,
-block)``, making results independent of worker count and evaluation order.
+block)``, so replicate r is the same row whatever the number of replicates.
 A row whose binomial refit fails (separation, non-convergence, a singular
 system) is redrawn, at most ``MAX_REPLICATE_RETRIES`` times; attempt a of
 replicate b draws from the stream ``(seed, *stream_path, b, a)``, whose key
@@ -54,7 +54,6 @@ A fixed row is never redrawn, so its failed refit raises at once.
 import enum
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from typing import Callable, NamedTuple
@@ -91,7 +90,7 @@ __all__ = [
 MAX_REPLICATE_RETRIES = 10
 EXHAUSTIVE_LENGTH_LIMIT = 8
 # Replicates per random stream. Part of the stream definition: changing it
-# changes every draw. Fixed blocks keep results independent of ``workers``.
+# changes every draw. Fixed blocks keep replicate r the same for any b.
 _CHUNK = 1024
 
 
@@ -320,53 +319,36 @@ def _kernel(scheme, fit, dataset):
     )
 
 
-def _chunk(kernel, seed, path, indices, rows=None):
-    """(len(indices), m) statistics of the replicate block ``indices``.
+def _statistics(kernel, seed, path, b, fixed=None):
+    """Yield the (rows, m) statistics of replicates 0..b-1, block by block
+    in replicate order.
 
-    Unless fixed ``rows`` are given, all rows come from the block's stream
-    ``substream(seed, *path, block)``, and attempt a to redraw a replicate b
-    whose refit failed draws one row from ``substream(seed, *path, b, a)``.
-    A fixed row whose refit fails raises at once.
+    Block j's rows are drawn from the stream ``substream(seed, *path, j)``,
+    or, given a ``fixed`` (b, length) index array, gathered from
+    ``kernel.base``. Attempt a to redraw a drawn replicate r whose refit
+    failed draws one row from ``substream(seed, *path, r, a)``. A fixed row
+    is never redrawn, so its failed refit raises at once.
     """
-    fixed = rows is not None
-    if not fixed:
-        gen = substream(seed, *path, indices.start // _CHUNK)
-        rows = kernel.draw(gen, len(indices))
-    stats, ok = kernel.evaluate(rows)
-    failed = np.flatnonzero(~ok)
-    for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
-        if fixed or not failed.size:
-            break
-        gens = (substream(seed, *path, indices[i], attempt) for i in failed)
-        retry_stats, ok = kernel.evaluate(np.vstack([kernel.draw(g, 1) for g in gens]))
-        stats[failed] = retry_stats
-        failed = failed[~ok]
-    if failed.size:
-        b = indices[failed[0]]
-        how = "to refit" if fixed else f"after {MAX_REPLICATE_RETRIES} retries"
-        raise ReplicateFailureError(f"replicate {b} failed {how}", replicate=b)
-    return stats
-
-
-def _blocks(b):
-    """The replicate ranges of the stream blocks of ``b`` replicates."""
-    return [range(lo, min(lo + _CHUNK, b)) for lo in range(0, b, _CHUNK)]
-
-
-def _exhaustive_distribution(scheme, fit, dataset, seed):
-    length = scheme.permuted_length(dataset.n, dataset.d)
-    if length > EXHAUSTIVE_LENGTH_LIMIT:
-        raise ConfigError(
-            f"exhaustive mode enumerates {length}! permutations; "
-            f"limited to length <= {EXHAUSTIVE_LENGTH_LIMIT}"
-        )
-    if scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP:
-        raise ConfigError("exhaustive mode is defined for permutation schemes only")
-    kernel = _kernel(scheme, fit, dataset)
-    perms = np.array(list(_all_permutations(range(length))), dtype=np.intp)
-    stats = _chunk(kernel, seed, (), range(len(perms)), rows=kernel.base[perms])
-    maxima = np.sort(np.max(np.abs(stats), axis=1))
-    return MaxTDistribution(maxima, len(perms), scheme, seed, exhaustive=True)
+    for lo in range(0, b, _CHUNK):
+        hi = min(lo + _CHUNK, b)
+        if fixed is None:
+            rows = kernel.draw(substream(seed, *path, lo // _CHUNK), hi - lo)
+        else:
+            rows = kernel.base[fixed[lo:hi]]
+        stats, ok = kernel.evaluate(rows)
+        failed = np.flatnonzero(~ok)
+        for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
+            if fixed is not None or not failed.size:
+                break
+            gens = (substream(seed, *path, lo + i, attempt) for i in failed)
+            retry_stats, ok = kernel.evaluate(np.vstack([kernel.draw(g, 1) for g in gens]))
+            stats[failed] = retry_stats
+            failed = failed[~ok]
+        if failed.size:
+            r = lo + int(failed[0])
+            how = "to refit" if fixed is not None else f"after {MAX_REPLICATE_RETRIES} retries"
+            raise ReplicateFailureError(f"replicate {r} failed {how}", replicate=r)
+        yield stats
 
 
 def replicate_statistics(
@@ -377,7 +359,6 @@ def replicate_statistics(
     seed,
     *,
     stream_path=(),
-    workers=1,
     exhaustive=False,
     force_identity=False,
 ):
@@ -385,41 +366,44 @@ def replicate_statistics(
 
     ``b`` replicates are drawn in blocks of ``_CHUNK``, each from the stream
     ``(seed, *stream_path, block)``, and retries from
-    ``(seed, *stream_path, replicate, attempt)``; results are identical for
-    any ``workers`` value. ``exhaustive`` enumerates all permutations (tiny
-    problems only) and ``force_identity`` replaces every draw with the
-    identity permutation/resample; both are test hooks.
+    ``(seed, *stream_path, replicate, attempt)``; the blocks run serially in
+    replicate order. ``exhaustive`` enumerates all permutations (tiny
+    problems only; ``b`` is ignored) and ``force_identity`` replaces every
+    draw with the identity permutation/resample; both are test hooks.
     """
+    fixed = None
+    length = scheme.permuted_length(dataset.n, dataset.d)
     if exhaustive:
-        return _exhaustive_distribution(scheme, fit, dataset, seed)
-    if b < 1:
+        if length > EXHAUSTIVE_LENGTH_LIMIT:
+            raise ConfigError(
+                f"exhaustive mode enumerates {length}! permutations; "
+                f"limited to length <= {EXHAUSTIVE_LENGTH_LIMIT}"
+            )
+        if scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP:
+            raise ConfigError("exhaustive mode is defined for permutation schemes only")
+        fixed = np.array(list(_all_permutations(range(length))), dtype=np.intp)
+        b = len(fixed)
+    elif b < 1:
         raise ConfigError("need at least one replicate")
+    elif force_identity:
+        fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
-
-    def run(indices):
-        rows = np.tile(kernel.base, (len(indices), 1)) if force_identity else None
-        stats = _chunk(kernel, seed, stream_path, indices, rows)
-        return np.max(np.abs(stats), axis=1)
-
-    blocks = _blocks(b)
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            maxima = np.concatenate(list(pool.map(run, blocks)))
-    else:
-        maxima = np.concatenate([run(block) for block in blocks])
-    return MaxTDistribution(max_stats=np.sort(maxima), b=b, scheme=scheme, seed=seed)
+    maxima = np.concatenate(
+        [np.max(np.abs(s), axis=1) for s in _statistics(kernel, seed, stream_path, b, fixed)]
+    )
+    return MaxTDistribution(np.sort(maxima), b, scheme, seed, exhaustive=exhaustive)
 
 
 def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
     """Full (b, m) matrix of replicate statistics.
 
-    Diagnostic helper: the kernel of ``replicate_statistics`` without the
-    reduction to maxima, over the same blocks, so row r is replicate r.
+    Diagnostic helper: the blocks of ``replicate_statistics`` stacked
+    without the reduction to maxima, so row r is replicate r.
     """
     if b < 1:
         raise ConfigError("need at least one replicate")
     kernel = _kernel(scheme, fit, dataset)
-    return np.vstack([_chunk(kernel, seed, stream_path, block) for block in _blocks(b)])
+    return np.vstack(list(_statistics(kernel, seed, stream_path, b)))
 
 
 def per_dataset_fwer(dist, observed):

@@ -16,7 +16,9 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -55,8 +57,8 @@ class StudyConfig:
     """K-dataset x B-replicate study description.
 
     ``master_seed`` governs every stream in the study; the seed field of
-    ``sim`` is ignored. ``workers`` is a parallelism hint only and never
-    changes numeric results.
+    ``sim`` is ignored. ``workers`` is the size of the process pool over
+    datasets and never changes numeric results.
     """
 
     sim: SimulationConfig
@@ -165,26 +167,20 @@ def run_study(config):
     """Run the full K x B study described by ``config``.
 
     Datasets are independent units of work; with ``workers > 1`` they are
-    dispatched to a process pool. Aggregation is keyed by dataset index, so
-    the result is identical for any worker count.
+    dispatched to a process pool, the package's only parallel layer.
+    Aggregation is keyed by dataset index, so the result is identical for
+    any worker count.
     """
-    alpha_hat = {
-        scheme: np.empty(config.k) for scheme in config.schemes
-    }
+    alpha_hat = {scheme: np.empty(config.k) for scheme in config.schemes}
     seconds = {scheme: 0.0 for scheme in config.schemes}
-    if config.workers > 1 and config.k > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    task = partial(_dataset_alpha_hats, config)
+    with ExitStack() as stack:
+        results = map(task, range(config.k))
+        if config.workers > 1 and config.k > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             chunk = max(1, config.k // (config.workers * 8))
-            results = pool.map(
-                _StudyTask(config), range(config.k), chunksize=chunk
-            )
-            for k, hats, secs in results:
-                for scheme in config.schemes:
-                    alpha_hat[scheme][k] = hats[scheme]
-                    seconds[scheme] += secs[scheme]
-    else:
-        for k in range(config.k):
-            _, hats, secs = _dataset_alpha_hats(config, k)
+            results = pool.map(task, range(config.k), chunksize=chunk)
+        for k, hats, secs in results:
             for scheme in config.schemes:
                 alpha_hat[scheme][k] = hats[scheme]
                 seconds[scheme] += secs[scheme]
@@ -208,17 +204,7 @@ def run_study(config):
     )
 
 
-class _StudyTask:
-    """Picklable bound task for the process pool."""
-
-    def __init__(self, config):
-        self.config = config
-
-    def __call__(self, k):
-        return _dataset_alpha_hats(self.config, k)
-
-
-def alpha_loc_study(sim, scheme, b, alpha=0.05, *, workers=1, mc_draws=0, mc_seed=1):
+def alpha_loc_study(sim, scheme, b, alpha=0.05, *, mc_draws=0, mc_seed=1):
     """Estimate the local significance level from one simulated dataset.
 
     Simulates a single dataset from ``sim``, resamples it ``b`` times under
@@ -232,13 +218,7 @@ def alpha_loc_study(sim, scheme, b, alpha=0.05, *, workers=1, mc_draws=0, mc_see
     fit = fit_null(sim.family, dataset.y, dataset.x_e)
     observed = score_statistics(fit, dataset.x_g)
     dist = replicate_statistics(
-        scheme,
-        fit,
-        dataset,
-        b,
-        sim.seed,
-        stream_path=(RESAMPLING_LANE,),
-        workers=workers,
+        scheme, fit, dataset, b, sim.seed, stream_path=(RESAMPLING_LANE,)
     )
     cutoff = maxt_cutoff(dist, alpha)
     mc_check = None

@@ -132,6 +132,27 @@ class TestExitCodes:
         phenotype_path.write_text("\n".join(lines) + "\n")
         assert main(_scan_args(paths, tmp_path / "r.csv")) == 2
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("phenotype.csv", "nan"),
+            ("phenotype.csv", "inf"),
+            ("covariates.csv", "inf"),
+            ("covariates.csv", "-inf"),
+        ],
+    )
+    def test_non_finite_value_is_parse_error(self, tmp_path, capsys, name, value):
+        _, paths = _simulate_files(tmp_path, n=10, m=2, seed=14)
+        path = tmp_path / name
+        lines = path.read_text().splitlines()
+        fields = lines[5].split(",")
+        fields[0] = value
+        lines[5] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(_scan_args(paths, tmp_path / "r.csv")) == 2
+        message = capsys.readouterr().err
+        assert "row 5" in message and "column 1" in message
+
     def test_length_mismatch_is_parse_error(self, tmp_path):
         _, paths = _simulate_files(tmp_path, n=10, m=2, seed=13)
         phenotype_path = tmp_path / "phenotype.csv"

@@ -1,5 +1,6 @@
 """The demo scripts run to completion, and the package source keeps no
-``assert`` (``python -O`` strips them, so no invariant may rest on one)."""
+``assert`` (``python -O`` strips them, so no invariant may rest on one) and
+one parallel layer: the process pool over datasets in ``study.py``."""
 
 import ast
 import os
@@ -40,11 +41,30 @@ def test_demo_runs(demo, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def _source_nodes():
+    for path in sorted(Path(permscan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            yield path.name, node
+
+
 def test_package_source_has_no_assert():
     offenders = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(permscan.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, node in _source_nodes()
         if isinstance(node, ast.Assert)
     ]
     assert offenders == []
+
+
+def test_only_study_imports_concurrent_futures():
+    importers = {
+        name
+        for name, node in _source_nodes()
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any(
+            module.split(".")[0] == "concurrent"
+            for module in [getattr(node, "module", None) or ""]
+            + [alias.name for alias in node.names]
+        )
+    }
+    assert importers == {"study.py"}

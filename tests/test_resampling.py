@@ -1,6 +1,7 @@
 """Tests for the resampling schemes and the maxT calibration machinery."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -169,6 +170,25 @@ class TestIdentityFixedPoint:
         )
         assert_allclose(dist.max_stats[0], observed.max_abs_t, atol=1e-8)
 
+    @pytest.mark.parametrize(
+        "scheme, family",
+        [
+            (ResamplingScheme.FREEDMAN_LANE, Family.NORMAL),
+            (ResamplingScheme.RAW_Y, Family.BINOMIAL),
+        ],
+    )
+    def test_identity_rows_cross_block_boundary(self, scheme, family):
+        if family is Family.NORMAL:
+            dataset, fit = _normal_instance(seed=102)
+        else:
+            dataset, fit = _binomial_instance(seed=201)
+        observed = score_statistics(fit, dataset.x_g)
+        dist = replicate_statistics(
+            scheme, fit, dataset, 1025, seed=0, force_identity=True
+        )
+        assert dist.b == 1025
+        assert_allclose(dist.max_stats, observed.max_abs_t, atol=1e-8)
+
     def test_full_model_residuals_identity_is_zero(self):
         # Full-model residuals are orthogonal to the markers, so the
         # identity replicate collapses to zero rather than the observed
@@ -211,30 +231,27 @@ class TestReplicateStatistics:
         )
         assert_allclose(raw.max_stats, fl.max_stats, atol=1e-10)
 
-    def test_worker_count_never_changes_results(self):
-        dataset, fit = _normal_instance(n=50, m=5, seed=105)
-        for scheme in (
-            ResamplingScheme.FREEDMAN_LANE,
-            ResamplingScheme.RAW_Y,
-            ResamplingScheme.PARAMETRIC_BOOTSTRAP,
-        ):
-            serial = replicate_statistics(
-                scheme, fit, dataset, 2100, seed=11, workers=1
-            )
-            threaded = replicate_statistics(
-                scheme, fit, dataset, 2100, seed=11, workers=3
-            )
-            assert np.array_equal(serial.max_stats, threaded.max_stats)
-
-    @pytest.mark.parametrize("b", [40, 1500])
-    def test_maxima_match_replicate_matrix(self, b):
-        dataset, fit = _normal_instance(seed=106)
-        matrix = replicate_matrix(
-            ResamplingScheme.FREEDMAN_LANE, fit, dataset, b, seed=13
-        )
-        dist = replicate_statistics(
-            ResamplingScheme.FREEDMAN_LANE, fit, dataset, b, seed=13
-        )
+    @pytest.mark.parametrize(
+        "scheme, b, family",
+        [
+            (ResamplingScheme.FREEDMAN_LANE, 40, Family.NORMAL),
+            (ResamplingScheme.FREEDMAN_LANE, 1500, Family.NORMAL),
+            # Three blocks for every row source: a permuted base vector,
+            # N(0, I) draws and Bernoulli draws, the last with retried refits.
+            (ResamplingScheme.FREEDMAN_LANE, 2100, Family.NORMAL),
+            (ResamplingScheme.RAW_Y, 2100, Family.NORMAL),
+            (ResamplingScheme.PARAMETRIC_BOOTSTRAP, 2100, Family.NORMAL),
+            (ResamplingScheme.RAW_Y, 2100, Family.BINOMIAL),
+            (ResamplingScheme.PARAMETRIC_BOOTSTRAP, 2100, Family.BINOMIAL),
+        ],
+    )
+    def test_maxima_match_replicate_matrix(self, scheme, b, family):
+        if family is Family.NORMAL:
+            dataset, fit = _normal_instance(seed=106)
+        else:
+            dataset, fit = _binomial_instance(n=30, beta_e=2.0, seed=5)
+        matrix = replicate_matrix(scheme, fit, dataset, b, seed=13)
+        dist = replicate_statistics(scheme, fit, dataset, b, seed=13)
         assert_allclose(
             np.sort(np.max(np.abs(matrix), axis=1)), dist.max_stats, atol=0
         )
@@ -305,6 +322,18 @@ class TestExhaustiveMode:
         )
         assert dist.b == 720
         assert dist.exhaustive
+
+    def test_permutations_cross_block_boundaries(self):
+        # 7! = 5040 rows span five replicate blocks.
+        dataset, fit = _normal_instance(n=7, m=2, seed=111)
+        dist = replicate_statistics(
+            ResamplingScheme.FREEDMAN_LANE, fit, dataset, None, seed=0, exhaustive=True
+        )
+        assert dist.b == 5040
+        y_t, x_t = exchangeable_transform(ResamplingScheme.FREEDMAN_LANE, fit, dataset)
+        perms = np.array(list(itertools.permutations(range(7))))
+        reference = np.sort(np.max(np.abs(y_t[perms] @ x_t), axis=1))
+        assert_allclose(dist.max_stats, reference, rtol=1e-12, atol=0)
 
     def test_random_sampling_matches_exhaustive_distribution(self):
         dataset, fit = _normal_instance(n=6, m=2, seed=108)
