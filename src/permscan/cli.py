@@ -78,14 +78,21 @@ class ScanReport:
     alpha_sidak: float
 
 
+def _check_workers(workers, source):
+    if workers < 1:
+        raise ConfigError(f"{source} must be >= 1, got {workers}")
+    return workers
+
+
 def _default_workers():
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
         return 1
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
+    return _check_workers(workers, WORKERS_ENV_VAR)
 
 
 def _family(value):
@@ -357,8 +364,11 @@ def _resolve_study_config(args):
 
 
 def _cmd_scan(args):
+    # Validated for symmetry with study; scan is serial.
     if args.workers is None:
-        _default_workers()  # validated for symmetry with study; scan is serial
+        _default_workers()
+    else:
+        _check_workers(args.workers, "--workers")
     report = run_scan(
         phenotype=args.phenotype,
         genotypes=args.genotypes,

@@ -5,6 +5,20 @@ header ``y``, a covariate file whose columns are the non-intercept
 covariates (the intercept is prepended on ingestion), and a genotype file
 of 0/1/2 minor-allele counts. Floats are written with ``repr`` so a
 write/read round trip is bitwise exact.
+
+Genotype files take a byte-table fast path in both directions. The reader
+loads the file with ``np.fromfile`` and, when every body line is m single
+digits 0-2 separated by commas and every line (the last one included) ends
+in the header's terminator (``\n`` or ``\r\n``), reshapes the body into
+an (n, 2m-1+len(eol)) byte table and checks its digit, comma and terminator
+columns with vector compares. The header is still parsed by ``csv.reader``
+and must be plain ASCII on one line with m fields. Any other file (quoted or
+padded cells, ``2.0``, blank lines, ragged rows, a missing final newline,
+bad values, no body) is read cell by cell, so every ``ParseError`` message,
+row and column is the cell-wise path's. The writer emits an all-{0, 1, 2}
+matrix as one uint8 table of digits, commas and ``\r\n``, the bytes
+``csv.writer`` writes for ``str(int(v))`` cells; any other matrix is
+written cell by cell.
 """
 
 import csv
@@ -97,8 +111,49 @@ def read_covariates(path):
     return [name.strip() for name in header], values
 
 
+_COMMA, _ZERO, _CR, _LF = b",0\r\n"
+
+
+def _read_count_table(path):
+    """(names, matrix) of a genotype file in the byte-table shape, else None."""
+    try:
+        data = np.fromfile(path, np.uint8)
+    except OSError:
+        return None
+    newline = np.flatnonzero(data == _LF)
+    if not newline.size:
+        return None
+    end = int(newline[0]) + 1
+    eol = (_CR, _LF) if end > 1 and data[end - 2] == _CR else (_LF,)
+    line = data[: end - len(eol)]
+    if np.any(line >= 128) or np.any(line == _CR):
+        return None
+    # Parsed with its terminator, a quoted field left open at the end of the
+    # line shows up as a field holding a newline.
+    header = next(csv.reader([bytes(data[:end]).decode("ascii")]))
+    m = len(header)
+    if not m or any("\n" in name for name in header):
+        return None
+    body = data[end:]
+    width = 2 * m - 1 + len(eol)
+    if not body.size or body.size % width:
+        return None
+    table = body.reshape(-1, width)
+    counts = table[:, : 2 * m - 1 : 2] - np.uint8(_ZERO)
+    if (
+        np.any(counts > 2)
+        or np.any(table[:, 1 : 2 * m - 1 : 2] != _COMMA)
+        or np.any(table[:, 2 * m - 1 :] != eol)
+    ):
+        return None
+    return [name.strip() for name in header], counts.astype(float)
+
+
 def read_genotypes(path):
     """Read the genotype matrix, validating every entry is 0, 1 or 2."""
+    fast = _read_count_table(path)
+    if fast is not None:
+        return fast
     header, values = _parse_matrix(path)
     bad = np.argwhere(~np.isin(values, (0.0, 1.0, 2.0)))
     if bad.size:
@@ -164,12 +219,32 @@ def write_covariates(path, covariates, names=None):
             writer.writerow([_format(v) for v in row])
 
 
+def _count_table(x_g):
+    """The CSV body of an all-{0, 1, 2} matrix as bytes, else None."""
+    if x_g.ndim != 2 or not x_g.shape[1] or x_g.dtype.kind not in "biuf":
+        return None
+    if not np.isin(x_g, (0, 1, 2)).all():
+        return None
+    m = x_g.shape[1]
+    table = np.empty((x_g.shape[0], 2 * m + 1), np.uint8)
+    table[:, : 2 * m - 1 : 2] = x_g.astype(np.uint8) + np.uint8(_ZERO)
+    table[:, 1 : 2 * m - 1 : 2] = _COMMA
+    table[:, 2 * m - 1 :] = (_CR, _LF)
+    return table.tobytes()
+
+
 def write_genotypes(path, x_g, names=None):
     x_g = np.asarray(x_g)
     names = names or [f"g{j + 1}" for j in range(x_g.shape[1])]
+    body = _count_table(x_g)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
+        if body is not None:
+            # The body goes past the text layer, so the header leaves it first.
+            handle.flush()
+            handle.buffer.write(body)
+            return
         for row in x_g:
             writer.writerow([str(int(v)) for v in row])
 

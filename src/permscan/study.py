@@ -76,6 +76,8 @@ class StudyConfig:
             raise ConfigError("at least one resampling scheme is required")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be in (0, 1)")
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         object.__setattr__(self, "schemes", tuple(self.schemes))
 
 

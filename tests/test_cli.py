@@ -208,6 +208,39 @@ class TestExitCodes:
         assert main(["study", "--out", str(tmp_path / "t.csv"), "--k", "0"]) == 5
         capsys.readouterr()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_scan_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+        _, paths = _simulate_files(tmp_path, seed=18)
+        args = _scan_args(paths, tmp_path / "r.csv", extra=("--workers", workers))
+        assert main(args) == 5
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_study_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+        out = str(tmp_path / "t.csv")
+        args = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9"]
+        assert main([*args, "--workers", workers, "--out", out]) == 5
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        config_file = tmp_path / "study.cfg"
+        config_file.write_text(f"workers = {workers}\n")
+        assert main([*args, "--config", str(config_file), "--out", out]) == 5
+        capsys.readouterr()
+        assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("command", ["scan", "study"])
+    def test_env_workers_below_one_is_config_error(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        monkeypatch.setenv("PERMSCAN_WORKERS", "-5")
+        if command == "scan":
+            _, paths = _simulate_files(tmp_path, seed=19)
+            args = _scan_args(paths, tmp_path / "r.csv")
+        else:
+            args = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9"]
+            args += ["--out", str(tmp_path / "t.csv")]
+        assert main(args) == 5
+        assert "PERMSCAN_WORKERS must be >= 1, got -5" in capsys.readouterr().err
+
     def test_full_model_residuals_on_wide_data_is_config_error(self, tmp_path, capsys):
         # The full model has m + d columns, so it needs n > m + d rows.
         data = tmp_path / "data"

@@ -124,6 +124,11 @@ class TestRunStudy:
         with pytest.raises(ConfigError):
             StudyConfig(sim=sim, schemes=(), k=1, b=1)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, workers):
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            _small_config(workers=workers)
+
     def test_raw_y_alpha_hat_subuniform_under_exchangeability(self):
         # With no covariate effect the raw response is exchangeable, so the
         # per-dataset estimates are stochastically no smaller than uniform.
