@@ -16,13 +16,13 @@ files for any worker count.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -44,7 +44,7 @@ from .resampling import (
     maxt_cutoff,
     replicate_statistics,
 )
-from .score import score_statistics
+from .score import score_statistics, two_sided_p
 from .simulate import SimulationConfig, simulate_dataset
 from .study import StudyConfig, run_study, table_rows
 
@@ -123,12 +123,19 @@ def run_scan(
 ):
     """Ingest the CSV files, run the scheme and build a ScanReport."""
     dataset, marker_names = ingest(phenotype, genotypes, covariates)
+    if family is Family.BINOMIAL:
+        bad = np.flatnonzero((dataset.y != 0.0) & (dataset.y != 1.0))
+        if bad.size:
+            raise ConfigError(
+                f"family 'binomial' needs a 0/1 phenotype; {phenotype} has "
+                f"{dataset.y[bad[0]]:g} at row {bad[0] + 1}"
+            )
     fit = fit_null(family, dataset.y, dataset.x_e)
     observed = score_statistics(fit, dataset.x_g)
     dist = replicate_statistics(scheme, fit, dataset, b, seed)
     cutoff = maxt_cutoff(dist, alpha)
     alpha_bonf, alpha_sidak = bonferroni_sidak(dataset.m, alpha)
-    p_values = 2.0 * ndtr(-np.abs(observed.t))
+    p_values = np.array([two_sided_p(t) for t in observed.t])
     # The statistical request only; execution hints (worker count, output
     # paths) never appear so reruns are byte-identical.
     config = {
@@ -265,6 +272,15 @@ def _add_study_parser(subparsers):
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Report a failure to write ``path`` as a configuration error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _read_config_file(path):
     values = {}
     try:
@@ -379,7 +395,8 @@ def _cmd_scan(args):
         alpha=args.alpha,
         seed=args.seed,
     )
-    write_scan_report(report, args.out, args.format)
+    with _writing(args.out):
+        write_scan_report(report, args.out, args.format)
     rejected = int(report.rejected.sum())
     print(
         f"scan: {len(report.marker_names)} markers, {rejected} rejected at "
@@ -400,7 +417,8 @@ def _cmd_simulate(args):
         seed=args.seed,
     )
     simulated = simulate_dataset(config)
-    paths = write_dataset(args.out_dir, simulated.dataset)
+    with _writing(args.out_dir):
+        paths = write_dataset(args.out_dir, simulated.dataset)
     print("simulate: wrote " + ", ".join(str(p) for p in paths))
     return 0
 
@@ -410,7 +428,8 @@ def _cmd_study(args):
     result = run_study(config)
     rows = table_rows(result)
     writer = write_table_json if args.format == "json" else write_table_csv
-    writer(args.out, rows, include_timings=timings)
+    with _writing(args.out):
+        writer(args.out, rows, include_timings=timings)
     for row in rows:
         print(
             f"study: {row['scheme']:>24s}  alpha_tilde={row['alpha_tilde']:.4f}  "

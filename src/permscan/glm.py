@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.special import expit
 
 from .errors import (
     ConvergenceError,
@@ -152,6 +150,13 @@ class NullModelFit:
         return q
 
 
+def expit(x):
+    """Logistic function 1 / (1 + exp(-x)); exp(-x) overflows to inf below
+    about -709, which gives 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _qr_solve(a, rhs):
     """Least-squares solve via economic QR with a rank check.
 
@@ -162,7 +167,7 @@ def _qr_solve(a, rhs):
     diag = np.abs(np.diag(r))
     if diag.size == 0 or diag.min() <= diag.max() * np.finfo(float).eps * max(a.shape):
         raise SingularDesignError("design matrix is numerically rank deficient")
-    coef = scipy.linalg.solve_triangular(r, q.T @ rhs)
+    coef = np.linalg.solve(r, q.T @ rhs)
     return coef, q
 
 

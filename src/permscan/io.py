@@ -6,7 +6,7 @@ covariates (the intercept is prepended on ingestion), and a genotype file
 of 0/1/2 minor-allele counts. Floats are written with ``repr`` so a
 write/read round trip is bitwise exact.
 
-Genotype files take a byte-table fast path in both directions. The reader
+Genotype files are read and written as byte tables. The reader
 loads the file with ``np.fromfile`` and, when every body line is m single
 digits 0-2 separated by commas and every line (the last one included) ends
 in the header's terminator (``\n`` or ``\r\n``), reshapes the body into
@@ -17,8 +17,8 @@ padded cells, ``2.0``, blank lines, ragged rows, a missing final newline,
 bad values, no body) is read cell by cell, so every ``ParseError`` message,
 row and column is the cell-wise path's. The writer emits an all-{0, 1, 2}
 matrix as one uint8 table of digits, commas and ``\r\n``, the bytes
-``csv.writer`` writes for ``str(int(v))`` cells; any other matrix is
-written cell by cell.
+``csv.writer`` writes for ``str(int(v))`` cells, and rejects any other
+matrix with a ``ValueError``.
 """
 
 import csv
@@ -185,6 +185,12 @@ def ingest(phenotype_path, genotype_path, covariate_path=None):
         x_e = np.column_stack([np.ones(n), covariates])
     else:
         x_e = np.ones((n, 1))
+    d = x_e.shape[1]
+    if n < d + 1:
+        raise ConsistencyError(
+            f"{phenotype_path} has {n} rows but the intercept and "
+            f"{d - 1} covariates need at least {d + 1}"
+        )
     marker_names, x_g = read_genotypes(genotype_path)
     if x_g.shape[0] != n:
         raise ConsistencyError(
@@ -220,11 +226,20 @@ def write_covariates(path, covariates, names=None):
 
 
 def _count_table(x_g):
-    """The CSV body of an all-{0, 1, 2} matrix as bytes, else None."""
-    if x_g.ndim != 2 or not x_g.shape[1] or x_g.dtype.kind not in "biuf":
-        return None
-    if not np.isin(x_g, (0, 1, 2)).all():
-        return None
+    """The CSV body of a matrix of 0/1/2 counts as bytes."""
+    if x_g.ndim != 2 or not x_g.shape[1]:
+        raise ValueError(
+            f"genotypes must be a matrix with columns, got shape {x_g.shape}"
+        )
+    if x_g.dtype.kind not in "biuf":
+        raise ValueError(f"genotypes must be numeric, got dtype {x_g.dtype}")
+    bad = np.argwhere(~np.isin(x_g, (0, 1, 2)))
+    if bad.size:
+        row, col = int(bad[0, 0]) + 1, int(bad[0, 1]) + 1
+        raise ValueError(
+            f"genotype value {x_g[row - 1, col - 1]:g} at row {row}, column {col} "
+            "is not 0/1/2"
+        )
     m = x_g.shape[1]
     table = np.empty((x_g.shape[0], 2 * m + 1), np.uint8)
     table[:, : 2 * m - 1 : 2] = x_g.astype(np.uint8) + np.uint8(_ZERO)
@@ -234,19 +249,15 @@ def _count_table(x_g):
 
 
 def write_genotypes(path, x_g, names=None):
+    """Write a 2-D matrix of 0/1/2 counts; any other matrix is a ValueError."""
     x_g = np.asarray(x_g)
-    names = names or [f"g{j + 1}" for j in range(x_g.shape[1])]
     body = _count_table(x_g)
+    names = names or [f"g{j + 1}" for j in range(x_g.shape[1])]
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        if body is not None:
-            # The body goes past the text layer, so the header leaves it first.
-            handle.flush()
-            handle.buffer.write(body)
-            return
-        for row in x_g:
-            writer.writerow([str(int(v)) for v in row])
+        csv.writer(handle).writerow(names)
+        # The body goes past the text layer, so the header leaves it first.
+        handle.flush()
+        handle.buffer.write(body)
 
 
 def write_dataset(directory, dataset, marker_names=None):

@@ -59,7 +59,6 @@ from itertools import permutations as _all_permutations
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import (
     ConfigError,
@@ -69,7 +68,7 @@ from .errors import (
 )
 from .glm import Family, batch_solve, binomial_irls, fit_null
 from .rng import substream
-from .score import DEGENERATE_TOL, score_denominators
+from .score import DEGENERATE_TOL, score_denominators, two_sided_p
 
 __all__ = [
     "ResamplingScheme",
@@ -208,6 +207,11 @@ def exchangeable_transform(scheme, fit, dataset):
         raise ConfigError(
             "scheme 'full-model-residuals' fits all markers jointly and needs "
             f"n > m + d observations; got n={n}, m={m}, d={d}"
+        )
+    if scheme is ResamplingScheme.MODIFIED_MODEL and n - d < 2:
+        raise ConfigError(
+            "scheme 'modified-model' permutes in the (n - d)-dimensional "
+            f"residual space and needs n - d >= 2; got n={n}, d={d}"
         )
     _warn_family_mismatch(scheme, fit)
     denom = score_denominators(fit, dataset.x_g)
@@ -452,7 +456,7 @@ def maxt_cutoff(dist, alpha, conf=0.95):
         c=c,
         ci_low=ci_low,
         ci_high=ci_high,
-        alpha_loc=float(2.0 * ndtr(-c)),
+        alpha_loc=two_sided_p(c),
         alpha=alpha,
         quantile_index=quantile_index,
         quantile_value=quantile_value,
@@ -547,10 +551,10 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed, n_boot=100):
         z = gen.standard_normal((hi - lo, m))
         max_abs[lo:hi] = np.max(np.abs(z @ factor), axis=1)
     c = float(np.quantile(max_abs, 1.0 - alpha))
-    alpha_loc = float(2.0 * ndtr(-c))
+    alpha_loc = two_sided_p(c)
     boot_gen = substream(seed, 1)
     boot = np.empty(n_boot)
     for i in range(n_boot):
         idx = boot_gen.integers(0, draws, size=draws)
-        boot[i] = 2.0 * ndtr(-np.quantile(max_abs[idx], 1.0 - alpha))
+        boot[i] = two_sided_p(np.quantile(max_abs[idx], 1.0 - alpha))
     return McAlphaLoc(alpha_loc=alpha_loc, se=float(np.std(boot, ddof=1)), c=c)

@@ -11,6 +11,7 @@ needs estimating. Denominators depend on the design alone and are computed
 once per dataset, then shared across all resampling replicates.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,11 @@ def score_statistics(fit, x_g):
     denom = score_denominators(fit, x_g)
     t = (x_g.T @ fit.residuals) / denom
     return ScoreStatistics(t=t, denom=denom, max_abs_t=float(np.max(np.abs(t))))
+
+
+def two_sided_p(t):
+    """Two-sided standard normal tail probability 2 * Phi(-|t|) of one statistic."""
+    return math.erfc(abs(t) / math.sqrt(2.0))
 
 
 def score_correlation(fit, x_g, dense_limit=DENSE_CORRELATION_LIMIT):

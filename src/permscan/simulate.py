@@ -16,12 +16,12 @@ logit link for the binomial family, zero intercept in both).
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .errors import ConfigError
-from .glm import Dataset, Family
+from .glm import Dataset, Family, expit
 from .rng import substream
 
 __all__ = [
@@ -105,7 +105,7 @@ def simulate_genotypes(config, *, stream_path=()):
         config.maf_range[0], config.maf_range[1], size=config.m
     )
     factor = correlation_factor(config.m, config.rho)
-    threshold = ndtri(maf)
+    threshold = np.array([NormalDist().inv_cdf(p) for p in maf])
     for attempt in range(MONOMORPHIC_RETRIES):
         gen = substream(config.seed, *stream_path, _LANE_GENOTYPE, attempt)
         copy_one = _draw_alleles(gen, config.n, factor, threshold)

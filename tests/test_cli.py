@@ -257,6 +257,64 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert "config error" in err and "n=30, m=40, d=2" in err
 
+    def test_binomial_family_on_non_binary_phenotype_is_config_error(
+        self, tmp_path, capsys
+    ):
+        dataset, paths = _simulate_files(tmp_path, n=30, m=3, seed=20)
+        args = _scan_args(paths, tmp_path / "r.csv", extra=("--family", "binomial"))
+        assert main(args) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "config error" in err and f"{dataset.y[0]:g} at row 1" in err
+
+    def test_modified_model_without_residual_room_is_config_error(
+        self, tmp_path, capsys
+    ):
+        # n = 3 rows against an intercept and one covariate leave a
+        # one-dimensional residual space, which has no permutations.
+        (tmp_path / "y.csv").write_text("y\n0.3\n1.2\n-0.5\n")
+        (tmp_path / "x.csv").write_text("x1\n0.0\n1.0\n2.5\n")
+        (tmp_path / "g.csv").write_text("g1,g2\n0,1\n2,0\n0,2\n")
+        paths = [str(tmp_path / name) for name in ("y.csv", "x.csv", "g.csv")]
+        extra = ("--scheme", "modified-model")
+        assert main(_scan_args(paths, tmp_path / "r.csv", extra=extra)) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "config error" in err and "modified-model" in err
+        assert "n=3, d=2" in err
+
+    def test_fewer_rows_than_design_columns_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "y.csv").write_text("y\n0.3\n1.2\n")
+        (tmp_path / "x.csv").write_text("x1,x2\n0.0,1.0\n1.0,0.5\n")
+        (tmp_path / "g.csv").write_text("g1\n0\n2\n")
+        paths = [str(tmp_path / name) for name in ("y.csv", "x.csv", "g.csv")]
+        assert main(_scan_args(paths, tmp_path / "r.csv")) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "parse error" in err and "has 2 rows" in err and "at least 4" in err
+
+    def test_unwritable_scan_report_is_config_error(self, tmp_path, capsys):
+        _, paths = _simulate_files(tmp_path, seed=21)
+        out = tmp_path / "missing" / "r.csv"
+        assert main(_scan_args(paths, out)) == 5
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write {out}" in err
+
+    def test_unwritable_study_table_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "t.csv"
+        args = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9"]
+        assert main([*args, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write {out}" in err
+
+    def test_simulate_into_a_file_is_config_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("not a directory\n")
+        args = ["simulate", "--n", "30", "--m", "3", "--out-dir", str(out_dir)]
+        assert main(args) == 5
+        err = capsys.readouterr().err
+        assert "config error" in err and f"cannot write {out_dir}" in err
+
 
 class TestSimulateCommand:
     def test_writes_three_files(self, tmp_path):

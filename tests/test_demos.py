@@ -1,6 +1,7 @@
 """The demo scripts run to completion, and the package source keeps no
-``assert`` (``python -O`` strips them, so no invariant may rest on one) and
-one parallel layer: the process pool over datasets in ``study.py``."""
+``assert`` (``python -O`` strips them, so no invariant may rest on one),
+one parallel layer (the process pool over datasets in ``study.py``) and
+numpy as its only third-party dependency: scipy is a test oracle only."""
 
 import ast
 import os
@@ -56,15 +57,37 @@ def test_package_source_has_no_assert():
     assert offenders == []
 
 
-def test_only_study_imports_concurrent_futures():
-    importers = {
+def _importers(package):
+    return {
         name
         for name, node in _source_nodes()
         if isinstance(node, (ast.Import, ast.ImportFrom))
         and any(
-            module.split(".")[0] == "concurrent"
+            module.split(".")[0] == package
             for module in [getattr(node, "module", None) or ""]
             + [alias.name for alias in node.names]
         )
     }
-    assert importers == {"study.py"}
+
+
+def test_only_study_imports_concurrent_futures():
+    assert _importers("concurrent") == {"study.py"}
+
+
+def test_package_source_imports_no_scipy():
+    assert _importers("scipy") == set()
+
+
+def test_cli_import_loads_no_scipy():
+    # A fresh interpreter: the test process itself imports scipy as an oracle.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, permscan.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -296,3 +297,13 @@ def test_family_variance_functions():
     mu = np.array([0.2, 0.5])
     assert_allclose(Family.BINOMIAL.variance(mu), mu * (1 - mu))
     assert_allclose(Family.NORMAL.variance(mu, phi=2.5), [2.5, 2.5])
+
+
+def test_expit_matches_scipy_without_overflow_warning():
+    x = np.linspace(-800.0, 800.0, 160_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ours = glm.expit(x)
+        ends = glm.expit(np.array([-800.0, 800.0]))
+    assert_allclose(ours, expit(x), rtol=1e-15, atol=0)
+    assert ends.tolist() == [0.0, 1.0]

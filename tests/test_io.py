@@ -81,7 +81,6 @@ WRITER_CASES = {
     "negative-zero": (np.array([[-0.0, 2.0]]), None),
     "no-rows": (np.zeros((0, 3)), None),
     "quoted-names": (np.array([[0, 1, 2], [2, 1, 0]]), ["a,b", 'q"x', " padded"]),
-    "out-of-range": (np.array([[0.0, 3.0], [-1.0, 1.7]]), None),
 }
 
 
@@ -94,9 +93,29 @@ def test_writer_bytes_match_csv_writer(tmp_path, name):
     assert written.read_bytes() == reference.read_bytes()
 
 
-def test_out_of_range_matrix_takes_cell_wise_writer():
-    assert io._count_table(np.array([[0.0, 3.0], [-1.0, 1.7]])) is None
-    assert io._count_table(np.array([[0.0, 1.0], [2.0, 1.0]])) is not None
+REJECTED_MATRICES = {
+    "out-of-range": np.array([[0.0, 3.0], [-1.0, 1.7]]),
+    "fraction": np.array([[0.0, 1.7]]),
+    "three": np.array([[0, 1], [2, 3]]),
+    "negative": np.array([[-1.0, 1.0]]),
+    "nan": np.array([[0.0, np.nan]]),
+    "vector": np.array([0.0, 1.0, 2.0]),
+    "no-columns": np.zeros((3, 0)),
+    "strings": np.array([["0", "1"]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_MATRICES))
+def test_writer_rejects_matrix_that_is_not_counts(tmp_path, name):
+    path = tmp_path / "genotypes.csv"
+    with pytest.raises(ValueError):
+        io.write_genotypes(path, REJECTED_MATRICES[name])
+    assert not path.exists()
+
+
+def test_writer_error_names_first_bad_cell(tmp_path):
+    with pytest.raises(ValueError, match="value 3 at row 1, column 2"):
+        io.write_genotypes(tmp_path / "g.csv", REJECTED_MATRICES["out-of-range"])
 
 
 @pytest.mark.parametrize("names", [None, ["a,b", 'q"x', "c"]])

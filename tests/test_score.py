@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import expit
+from scipy.special import expit, ndtr
 
 from permscan import (
     DegenerateMarkerError,
@@ -16,6 +16,7 @@ from permscan import (
     score_denominators,
     score_statistics,
 )
+from permscan.score import two_sided_p
 
 
 def _dense_conditional_covariance(x_g, x_e, variance_diag):
@@ -160,3 +161,11 @@ class TestCorrelation:
         with pytest.raises(DegenerateMarkerError) as info:
             score_correlation(fit_null(Family.BINOMIAL, y, x_e), x_g)
         assert info.value.marker == 2
+
+
+def test_two_sided_p_matches_scipy_normal_tail():
+    t = np.linspace(-40.0, 40.0, 8001)
+    reference = 2 * ndtr(-np.abs(t))
+    kept = reference > 1e-300
+    ours = np.array([two_sided_p(v) for v in t[kept]])
+    assert_allclose(ours, reference[kept], rtol=1e-12, atol=0)

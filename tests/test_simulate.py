@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 from scipy import stats as sps
-from scipy.special import expit
+from scipy.special import expit, ndtri
 
 import permscan
 from permscan import (
@@ -24,6 +24,7 @@ from permscan import (
     simulate_genotypes,
     simulate_phenotype,
 )
+from permscan import simulate
 
 
 class TestCorrelationFactor:
@@ -127,6 +128,19 @@ class TestGenotypes:
         per_dataset = np.array(per_dataset)
         assert np.all(per_dataset > 0.33) and np.all(per_dataset < 0.51)
         assert 0.3667 <= per_dataset.mean() <= 0.4768
+
+    def test_maf_thresholds_match_scipy_quantile(self, monkeypatch):
+        thresholds = []
+        draw = simulate._draw_alleles
+
+        def recording(gen, n, factor, threshold):
+            thresholds.append(threshold)
+            return draw(gen, n, factor, threshold)
+
+        monkeypatch.setattr(simulate, "_draw_alleles", recording)
+        config = SimulationConfig(n=200, m=500, family=Family.NORMAL, seed=6)
+        _, maf = simulate_genotypes(config)
+        assert_allclose(thresholds[0], ndtri(maf), rtol=0, atol=2e-15)
 
     def test_monomorphic_columns_redrawn(self):
         # Tiny n with extreme MAF produces monomorphic draws with high
