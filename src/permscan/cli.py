@@ -281,6 +281,13 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_out_dir(path):
+    """Fail before any computation when ``path`` has no directory to go in."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"cannot write {path}: {directory} is not a directory")
+
+
 def _read_config_file(path):
     values = {}
     try:
@@ -385,6 +392,7 @@ def _cmd_scan(args):
         _default_workers()
     else:
         _check_workers(args.workers, "--workers")
+    _check_out_dir(args.out)
     report = run_scan(
         phenotype=args.phenotype,
         genotypes=args.genotypes,
@@ -425,6 +433,7 @@ def _cmd_simulate(args):
 
 def _cmd_study(args):
     config, timings = _resolve_study_config(args)
+    _check_out_dir(args.out)
     result = run_study(config)
     rows = table_rows(result)
     writer = write_table_json if args.format == "json" else write_table_csv

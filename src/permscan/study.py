@@ -12,13 +12,15 @@ streams keyed by (master_seed, k, ...), so results are reproducible for any
 worker count and insensitive to completion order.
 """
 
+import ctypes
 import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
+from pathlib import Path
 
 import numpy as np
 
@@ -57,8 +59,9 @@ class StudyConfig:
     """K-dataset x B-replicate study description.
 
     ``master_seed`` governs every stream in the study; the seed field of
-    ``sim`` is ignored. ``workers`` is the size of the process pool over
-    datasets and never changes numeric results.
+    ``sim`` is ignored. ``workers`` bounds the size of the process pool over
+    datasets (the pool never exceeds ``k``); every process runs its datasets
+    on one BLAS thread, so the worker count never changes numeric results.
     """
 
     sim: SimulationConfig
@@ -135,6 +138,52 @@ def wald_ci(alpha_tilde, k):
     return max(0.0, alpha_tilde - half), min(1.0, alpha_tilde + half)
 
 
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS, or None when numpy uses another BLAS."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return lib
+    return None
+
+
+def _pin_blas():
+    """Put numpy's OpenBLAS on one thread (pool worker initializer)."""
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread and restore the caller's count after.
+
+    A matmul's last bits depend on the BLAS thread count, so pinning every
+    process of a study to one thread makes its results the same for any
+    worker count by construction, and keeps pool workers from contending
+    for cores with BLAS threads. Without numpy's bundled OpenBLAS this does
+    nothing.
+    """
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
 def _dataset_alpha_hats(config, k):
     """alpha_hat_k for every scheme on dataset k (worker task)."""
     sim = replace(config.sim, seed=config.master_seed)
@@ -169,18 +218,24 @@ def run_study(config):
     """Run the full K x B study described by ``config``.
 
     Datasets are independent units of work; with ``workers > 1`` they are
-    dispatched to a process pool, the package's only parallel layer.
-    Aggregation is keyed by dataset index, so the result is identical for
-    any worker count.
+    dispatched to a process pool of ``min(workers, k)`` processes, the
+    package's only parallel layer. The calling process and every pool worker
+    run on one BLAS thread for the whole loop; the caller's BLAS thread
+    count is restored on return, also when a dataset raises. Aggregation is
+    keyed by dataset index, so the result is identical for any worker count.
     """
     alpha_hat = {scheme: np.empty(config.k) for scheme in config.schemes}
     seconds = {scheme: 0.0 for scheme in config.schemes}
     task = partial(_dataset_alpha_hats, config)
+    workers = min(config.workers, config.k)
     with ExitStack() as stack:
+        stack.enter_context(_one_blas_thread())
         results = map(task, range(config.k))
-        if config.workers > 1 and config.k > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
-            chunk = max(1, config.k // (config.workers * 8))
+        if workers > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas)
+            )
+            chunk = max(1, config.k // (workers * 8))
             results = pool.map(task, range(config.k), chunksize=chunk)
         for k, hats, secs in results:
             for scheme in config.schemes:

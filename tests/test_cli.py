@@ -307,6 +307,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and f"cannot write {out}" in err
 
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_unwritable_scan_report_fails_before_scanning(
+        self, tmp_path, monkeypatch, capsys, parent
+    ):
+        _, paths = _simulate_files(tmp_path, seed=21)
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / parent / "r.csv"
+
+        def never(**kwargs):
+            raise AssertionError("run_scan called before the --out check")
+
+        monkeypatch.setattr("permscan.cli.run_scan", never)
+        assert main(_scan_args(paths, out)) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot write {out}: {tmp_path / parent} is not a directory" in err
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_unwritable_study_table_fails_before_the_study(
+        self, tmp_path, monkeypatch, capsys, parent
+    ):
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / parent / "t.csv"
+
+        def never(config):
+            raise AssertionError("run_study called before the --out check")
+
+        monkeypatch.setattr("permscan.cli.run_study", never)
+        args = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9"]
+        assert main([*args, "--out", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"cannot write {out}: {tmp_path / parent} is not a directory" in err
+
     def test_simulate_into_a_file_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "taken"
         out_dir.write_text("not a directory\n")

@@ -1,7 +1,8 @@
 """The demo scripts run to completion, and the package source keeps no
 ``assert`` (``python -O`` strips them, so no invariant may rest on one),
-one parallel layer (the process pool over datasets in ``study.py``) and
-numpy as its only third-party dependency: scipy is a test oracle only."""
+one parallel layer (the process pool over datasets in ``study.py``, which
+alone sets the BLAS thread count) and numpy as its only third-party
+dependency: scipy is a test oracle only."""
 
 import ast
 import os
@@ -72,6 +73,11 @@ def _importers(package):
 
 def test_only_study_imports_concurrent_futures():
     assert _importers("concurrent") == {"study.py"}
+
+
+def test_only_study_imports_ctypes():
+    # BLAS thread control lives in one place, next to the process pool.
+    assert _importers("ctypes") == {"study.py"}
 
 
 def test_package_source_imports_no_scipy():

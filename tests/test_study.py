@@ -1,11 +1,14 @@
 """Tests for the Monte Carlo calibration harness."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from permscan import (
     ConfigError,
+    FitError,
     Family,
     ReplicateFailureError,
     ResamplingScheme,
@@ -16,6 +19,7 @@ from permscan import (
     table_rows,
     wald_ci,
 )
+from permscan import study
 from permscan.io import TABLE_FIELDS
 
 
@@ -82,6 +86,19 @@ class TestRunStudy:
                 pooled.per_scheme[scheme].alpha_hat,
             )
 
+    @pytest.mark.parametrize("workers, k, sizes", [(8, 2, [2]), (2, 3, [2]), (4, 1, [])])
+    def test_pool_never_exceeds_dataset_count(self, monkeypatch, workers, k, sizes):
+        started = []
+
+        class Recording(ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(study, "ProcessPoolExecutor", Recording)
+        run_study(_small_config(workers=workers, k=k, b=9))
+        assert started == sizes
+
     def test_schemes_share_permutation_streams(self):
         # The normal-family equivalence carries through the harness: the
         # reduced-residual and standardized-residual schemes produce the
@@ -144,6 +161,58 @@ class TestRunStudy:
         for alpha in (0.05, 0.1, 0.25, 0.5):
             buffer = 3 * np.sqrt(alpha * (1 - alpha) / config.k)
             assert np.mean(hats <= alpha) <= alpha + buffer
+
+
+@pytest.fixture
+def blas():
+    """numpy's OpenBLAS with the caller's thread count set to 2 (not 1) for
+    the test and put back after it."""
+    lib = study._openblas()
+    if lib is None:
+        pytest.skip("numpy is not linked against its bundled OpenBLAS")
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(previous)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_datasets_run_on_one_blas_thread(self, blas, monkeypatch, workers):
+        # Pool workers are forked, so they inherit the wrapper; a failure
+        # there comes back through the pool as an exception.
+        def pinned(*args, **kwargs):
+            threads = blas.scipy_openblas_get_num_threads64_()
+            if threads != 1:
+                raise RuntimeError(f"replicates ran on {threads} BLAS threads")
+            return replicate_statistics(*args, **kwargs)
+
+        replicate_statistics = study.replicate_statistics
+        monkeypatch.setattr(study, "replicate_statistics", pinned)
+        run_study(_small_config(workers=workers))
+
+    def test_caller_thread_count_is_restored(self, blas):
+        run_study(_small_config(workers=2))
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+
+    def test_caller_thread_count_is_restored_after_an_error(self, blas, monkeypatch):
+        def fail(*args, **kwargs):
+            raise FitError("made to fail")
+
+        monkeypatch.setattr(study, "replicate_statistics", fail)
+        with pytest.raises(FitError, match="dataset 0: made to fail"):
+            run_study(_small_config(k=2))
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+
+    def test_runs_unchanged_without_openblas(self, monkeypatch):
+        expected = run_study(_small_config(workers=2))
+        monkeypatch.setattr(study, "_openblas", lambda: None)
+        for workers in (1, 2):
+            result = run_study(_small_config(workers=workers))
+            for scheme, calibration in expected.per_scheme.items():
+                assert np.array_equal(
+                    result.per_scheme[scheme].alpha_hat, calibration.alpha_hat
+                )
 
 
 class TestAlphaLocStudy:
