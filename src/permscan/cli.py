@@ -9,10 +9,14 @@ Three subcommands:
 * ``permscan study``     run a K x B calibration study described by a
                          key-value config file plus command-line overrides.
 
-Exit codes: 0 success, 2 file parse error, 3 model fit error, 4 resampling
-error, 5 configuration error. Reports embed the resolved statistical
-configuration and seed; identical requests produce byte-identical output
-files for any worker count.
+``_STUDY`` is the one table of the simulation and study options: each key
+is a ``study`` flag (``--beta-e`` for ``beta_e``) and a study config-file
+key, and its eight ``_SCENARIO`` keys are also the ``simulate`` flags.
+
+Exit codes (``_EXIT_CODES``): 0 success, 1 any other permscan error, 2 file
+parse error, 3 model fit error, 4 resampling error, 5 configuration error.
+Reports embed the resolved statistical configuration and seed; identical
+requests produce byte-identical output files for any worker count.
 """
 
 import argparse
@@ -20,7 +24,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,20 +99,13 @@ def _default_workers():
     return _check_workers(workers, WORKERS_ENV_VAR)
 
 
-def _family(value):
+def _choice(kind, value, noun):
+    """The member of enum ``kind`` named ``value``, or a ConfigError."""
     try:
-        return Family(value)
+        return kind(value)
     except ValueError as exc:
-        names = ", ".join(f.value for f in Family)
-        raise ConfigError(f"unknown family {value!r} (choose from {names})") from exc
-
-
-def _scheme(value):
-    try:
-        return ResamplingScheme(value)
-    except ValueError as exc:
-        names = ", ".join(s.value for s in ResamplingScheme)
-        raise ConfigError(f"unknown scheme {value!r} (choose from {names})") from exc
+        names = ", ".join(member.value for member in kind)
+        raise ConfigError(f"unknown {noun} {value!r} (choose from {names})") from exc
 
 
 def run_scan(
@@ -160,20 +157,6 @@ def run_scan(
     )
 
 
-def _cutoff_dict(cutoff):
-    return {
-        "alpha": cutoff.alpha,
-        "alpha_loc": cutoff.alpha_loc,
-        "c": cutoff.c,
-        "ci_high": cutoff.ci_high,
-        "ci_low": cutoff.ci_low,
-        "eq_index": cutoff.eq_index,
-        "eq_satisfied": cutoff.eq_satisfied,
-        "quantile_index": cutoff.quantile_index,
-        "quantile_value": cutoff.quantile_value,
-    }
-
-
 def write_scan_report(report, path, fmt):
     if fmt == "json":
         payload = {
@@ -182,7 +165,7 @@ def write_scan_report(report, path, fmt):
                 "sidak": report.alpha_sidak,
             },
             "config": report.config,
-            "cutoff": _cutoff_dict(report.cutoff),
+            "cutoff": asdict(report.cutoff),
             "markers": [
                 {
                     "name": name,
@@ -202,7 +185,7 @@ def write_scan_report(report, path, fmt):
     with open(path, "w", newline="") as handle:
         for key in sorted(report.config):
             handle.write(f"# {key}={report.config[key]}\n")
-        for key, value in sorted(_cutoff_dict(report.cutoff).items()):
+        for key, value in sorted(asdict(report.cutoff).items()):
             handle.write(f"# cutoff.{key}={value}\n")
         handle.write(f"# baseline.bonferroni={report.alpha_bonferroni!r}\n")
         handle.write(f"# baseline.sidak={report.alpha_sidak!r}\n")
@@ -211,65 +194,6 @@ def write_scan_report(report, path, fmt):
             report.marker_names, report.t, report.p_values, report.rejected
         ):
             handle.write(f"{name},{float(t)!r},{float(p)!r},{int(r)}\n")
-
-
-def _add_scan_parser(subparsers):
-    p = subparsers.add_parser("scan", help="score-test a dataset with maxT control")
-    p.add_argument("--phenotype", required=True, help="phenotype CSV (header 'y')")
-    p.add_argument("--genotypes", required=True, help="genotype CSV of 0/1/2 counts")
-    p.add_argument("--covariates", help="covariate CSV (intercept added)")
-    p.add_argument("--family", default="normal", help="normal or binomial")
-    p.add_argument(
-        "--scheme",
-        default="freedman-lane",
-        help=", ".join(s.value for s in ResamplingScheme),
-    )
-    p.add_argument("--b", type=int, default=1000, help="number of replicates")
-    p.add_argument("--alpha", type=float, default=0.05, help="target FWER level")
-    p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--workers", type=int, help="accepted; scan runs serially")
-    p.add_argument("--out", required=True, help="report path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
-def _add_simulate_parser(subparsers):
-    p = subparsers.add_parser("simulate", help="write a simulated dataset as CSVs")
-    p.add_argument("--family", default="normal")
-    p.add_argument("--n", type=int, required=True, help="individuals")
-    p.add_argument("--m", type=int, required=True, help="markers")
-    p.add_argument("--rho", type=float, default=0.0, help="latent correlation")
-    p.add_argument("--beta-e", type=float, default=0.0, help="covariate effect size")
-    p.add_argument("--maf-low", type=float, default=0.05)
-    p.add_argument("--maf-high", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out-dir", required=True, help="directory for the three CSVs")
-
-
-def _add_study_parser(subparsers):
-    p = subparsers.add_parser("study", help="run a K x B calibration study")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--family")
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--beta-e", type=float)
-    p.add_argument("--maf-low", type=float)
-    p.add_argument("--maf-high", type=float)
-    p.add_argument("--schemes", help="comma-separated scheme names")
-    p.add_argument("--k", type=int, help="number of simulated datasets")
-    p.add_argument("--b", type=int, help="replicates per dataset")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument(
-        "--timings",
-        action="store_true",
-        default=None,
-        help="write wall-clock seconds into the table (breaks byte "
-        "reproducibility across runs)",
-    )
-    p.add_argument("--out", required=True, help="table path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 @contextlib.contextmanager
@@ -307,75 +231,81 @@ def _read_config_file(path):
     return values
 
 
-_STUDY_DEFAULTS = {
-    "family": "normal",
-    "n": 400,
-    "m": 100,
-    "rho": 0.0,
-    "beta_e": 0.0,
-    "maf_low": 0.05,
-    "maf_high": 0.5,
-    "schemes": "freedman-lane",
-    "k": 100,
-    "b": 500,
-    "alpha": 0.05,
-    "seed": 0,
-    "workers": None,
-    "timings": False,
+def _boolean(value):
+    """A config-file switch: 1/true/yes/on or 0/false/no/off, in any case."""
+    word = value.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(value)
+    return word in ("1", "true", "yes", "on")
+
+
+# key: (cast, study default, help). The scenario keys describe one simulated
+# dataset and are the simulate flags; a study takes them and its own.
+_SCENARIO = {
+    "family": (str, "normal", "normal or binomial"),
+    "n": (int, 400, "individuals"),
+    "m": (int, 100, "markers"),
+    "rho": (float, 0.0, "latent correlation"),
+    "beta_e": (float, 0.0, "covariate effect size"),
+    "maf_low": (float, 0.05, "lowest minor-allele frequency"),
+    "maf_high": (float, 0.5, "highest minor-allele frequency"),
+    "seed": (int, 0, "master seed"),
+}
+_STUDY = {
+    **_SCENARIO,
+    "schemes": (str, "freedman-lane", "comma-separated scheme names"),
+    "k": (int, 100, "number of simulated datasets"),
+    "b": (int, 500, "replicates per dataset"),
+    "alpha": (float, 0.05, "target FWER level"),
+    "workers": (int, None, f"worker processes (default: ${WORKERS_ENV_VAR} or 1)"),
+    "timings": (
+        _boolean,
+        False,
+        "write wall-clock seconds into the table (breaks byte "
+        "reproducibility across runs)",
+    ),
 }
 
-_STUDY_CASTS = {
-    "n": int,
-    "m": int,
-    "rho": float,
-    "beta_e": float,
-    "maf_low": float,
-    "maf_high": float,
-    "k": int,
-    "b": int,
-    "alpha": float,
-    "seed": int,
-    "workers": int,
-    "timings": lambda v: str(v).strip().lower() in ("1", "true", "yes", "on"),
-}
+
+def _simulation_config(values):
+    """The SimulationConfig of a mapping with the eight scenario keys."""
+    return SimulationConfig(
+        n=values["n"],
+        m=values["m"],
+        family=_choice(Family, values["family"], "family"),
+        beta_e=values["beta_e"],
+        rho=values["rho"],
+        maf_range=(values["maf_low"], values["maf_high"]),
+        seed=values["seed"],
+    )
 
 
 def _resolve_study_config(args):
     """Defaults < config file < command-line flags."""
-    resolved = dict(_STUDY_DEFAULTS)
+    resolved = {key: default for key, (_, default, _) in _STUDY.items()}
     if args.config:
         file_values = _read_config_file(args.config)
-        unknown = set(file_values) - set(_STUDY_DEFAULTS)
+        unknown = set(file_values) - set(_STUDY)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         for key, raw in file_values.items():
-            cast = _STUDY_CASTS.get(key, str)
             try:
-                resolved[key] = cast(raw)
+                resolved[key] = _STUDY[key][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key}: {raw!r}") from exc
-    for key in _STUDY_DEFAULTS:
-        flag = getattr(args, key, None)
+    for key in _STUDY:
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
     if resolved["workers"] is None:
         resolved["workers"] = _default_workers()
     schemes = tuple(
-        _scheme(name.strip())
-        for name in str(resolved["schemes"]).split(",")
+        _choice(ResamplingScheme, name.strip(), "scheme")
+        for name in resolved["schemes"].split(",")
         if name.strip()
     )
-    sim = SimulationConfig(
-        n=resolved["n"],
-        m=resolved["m"],
-        family=_family(resolved["family"]),
-        beta_e=resolved["beta_e"],
-        rho=resolved["rho"],
-        maf_range=(resolved["maf_low"], resolved["maf_high"]),
-        seed=resolved["seed"],
-    )
     config = StudyConfig(
-        sim=sim,
+        sim=_simulation_config(resolved),
         schemes=schemes,
         k=resolved["k"],
         b=resolved["b"],
@@ -383,7 +313,7 @@ def _resolve_study_config(args):
         workers=resolved["workers"],
         master_seed=resolved["seed"],
     )
-    return config, bool(resolved["timings"])
+    return config, resolved["timings"]
 
 
 def _cmd_scan(args):
@@ -397,8 +327,8 @@ def _cmd_scan(args):
         phenotype=args.phenotype,
         genotypes=args.genotypes,
         covariates=args.covariates,
-        family=_family(args.family),
-        scheme=_scheme(args.scheme),
+        family=_choice(Family, args.family, "family"),
+        scheme=_choice(ResamplingScheme, args.scheme, "scheme"),
         b=args.b,
         alpha=args.alpha,
         seed=args.seed,
@@ -415,16 +345,7 @@ def _cmd_scan(args):
 
 
 def _cmd_simulate(args):
-    config = SimulationConfig(
-        n=args.n,
-        m=args.m,
-        family=_family(args.family),
-        beta_e=args.beta_e,
-        rho=args.rho,
-        maf_range=(args.maf_low, args.maf_high),
-        seed=args.seed,
-    )
-    simulated = simulate_dataset(config)
+    simulated = simulate_dataset(_simulation_config(vars(args)))
     with _writing(args.out_dir):
         paths = write_dataset(args.out_dir, simulated.dataset)
     print("simulate: wrote " + ", ".join(str(p) for p in paths))
@@ -454,40 +375,73 @@ def build_parser():
         description="FWER-controlled association scans via score tests and "
         "resampling-based maxT calibration",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    _add_scan_parser(subparsers)
-    _add_simulate_parser(subparsers)
-    _add_study_parser(subparsers)
+    commands = parser.add_subparsers(dest="command", required=True)
+    scan = commands.add_parser("scan", help="score-test a dataset with maxT control")
+    scan.add_argument("--phenotype", required=True, help="phenotype CSV (header 'y')")
+    scan.add_argument("--genotypes", required=True, help="genotype CSV of 0/1/2 counts")
+    scan.add_argument("--covariates", help="covariate CSV (intercept added)")
+    scan.add_argument("--family", default="normal", help="normal or binomial")
+    scan.add_argument(
+        "--scheme",
+        default="freedman-lane",
+        help=", ".join(s.value for s in ResamplingScheme),
+    )
+    scan.add_argument("--b", type=int, default=1000, help="number of replicates")
+    scan.add_argument("--alpha", type=float, default=0.05, help="target FWER level")
+    scan.add_argument("--seed", type=int, default=0, help="master seed")
+    scan.add_argument("--workers", type=int, help="accepted; scan runs serially")
+    scan.add_argument("--out", required=True, help="report path")
+    scan.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    simulate = commands.add_parser("simulate", help="write a simulated dataset as CSVs")
+    study = commands.add_parser("study", help="run a K x B calibration study")
+    study.add_argument("--config", help="key=value config file")
+    for key, (cast, default, text) in _STUDY.items():
+        flag = "--" + key.replace("_", "-")
+        if key in _SCENARIO:
+            required = key in ("n", "m")
+            simulate.add_argument(
+                flag,
+                type=cast,
+                default=None if required else default,
+                required=required,
+                help=text,
+            )
+        # Study flags default to None so that a config-file value can stand.
+        if cast is _boolean:
+            study.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            study.add_argument(flag, type=cast, help=text)
+    simulate.add_argument(
+        "--out-dir", required=True, help="directory for the three CSVs"
+    )
+    study.add_argument("--out", required=True, help="table path")
+    study.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
+
+
+# (error class, exit code, message prefix): the first class that matches wins.
+_EXIT_CODES = (
+    (_UsageError, 5, ""),
+    (ParseError, 2, "parse error: "),
+    (FitError, 3, "fit error: "),
+    (ResamplingError, 4, "resampling error: "),
+    (ConfigError, 5, "config error: "),
+    (PermscanError, 1, ""),
+)
 
 
 def main(argv=None):
     parser = build_parser()
+    commands = {"scan": _cmd_scan, "simulate": _cmd_simulate, "study": _cmd_study}
     try:
         args = parser.parse_args(argv)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        return _cmd_study(args)
-    except _UsageError as exc:
-        print(f"permscan: {exc}", file=sys.stderr)
-        return 5
-    except ParseError as exc:
-        print(f"permscan: parse error: {exc}", file=sys.stderr)
-        return 2
-    except FitError as exc:
-        print(f"permscan: fit error: {exc}", file=sys.stderr)
-        return 3
-    except ResamplingError as exc:
-        print(f"permscan: resampling error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigError as exc:
-        print(f"permscan: config error: {exc}", file=sys.stderr)
-        return 5
-    except PermscanError as exc:
-        print(f"permscan: {exc}", file=sys.stderr)
-        return 1
+        return commands[args.command](args)
+    except (_UsageError, PermscanError) as exc:
+        for kind, code, prefix in _EXIT_CODES:
+            if isinstance(exc, kind):
+                print(f"permscan: {prefix}{exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

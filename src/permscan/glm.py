@@ -50,9 +50,9 @@ class Family(enum.Enum):
 class Dataset:
     """Phenotype, covariate design and genotype matrix for one sample.
 
-    ``x_e`` is n x d with a constant-1 intercept as its first column and
-    must have full column rank. ``x_g`` is n x m with additive minor-allele
-    counts in {0, 1, 2}.
+    ``y`` and ``x_e`` are finite. ``x_e`` is n x d with a constant-1
+    intercept as its first column and must have full column rank. ``x_g``
+    is n x m with additive minor-allele counts in {0, 1, 2}.
     """
 
     y: np.ndarray
@@ -68,6 +68,9 @@ class Dataset:
         n = y.shape[0]
         if x_e.shape[0] != n or x_g.shape[0] != n:
             raise ValueError("y, x_e and x_g must agree on the number of rows")
+        for arr, name in ((y, "y"), (x_e, "x_e")):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
         d = x_e.shape[1]
         if n < d + 1:
             raise ValueError(f"need at least d+1={d + 1} observations, got {n}")
@@ -269,6 +272,9 @@ def fit_null(family, y, x_e):
     n, d = x_e.shape
     if y.shape != (n,):
         raise ValueError(f"y must have shape ({n},)")
+    for arr, name in ((y, "y"), (x_e, "x_e")):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} observations, got {n}")
     if family is Family.BINOMIAL and not np.isin(y, (0.0, 1.0)).all():

@@ -218,6 +218,8 @@ def write_covariates(path, covariates, names=None):
     if covariates.shape[0] == 1 and covariates.shape[1] > 1:
         covariates = covariates.T
     names = names or [f"x{j + 1}" for j in range(covariates.shape[1])]
+    if len(names) != covariates.shape[1]:
+        raise ValueError(f"{len(names)} names for {covariates.shape[1]} covariates")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
@@ -253,6 +255,8 @@ def write_genotypes(path, x_g, names=None):
     x_g = np.asarray(x_g)
     body = _count_table(x_g)
     names = names or [f"g{j + 1}" for j in range(x_g.shape[1])]
+    if len(names) != x_g.shape[1]:
+        raise ValueError(f"{len(names)} names for {x_g.shape[1]} genotype columns")
     with open(path, "w", newline="") as handle:
         csv.writer(handle).writerow(names)
         # The body goes past the text layer, so the header leaves it first.

@@ -1,5 +1,6 @@
 """Tests for the command-line interface: ingestion, subcommands, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from permscan import Family, SimulationConfig, simulate_dataset
-from permscan.cli import main
+from permscan.cli import build_parser, main
+from permscan.errors import PermscanError
 from permscan.io import ingest, write_dataset
 
 
@@ -349,6 +351,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and f"cannot write {out_dir}" in err
 
+    def test_other_permscan_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        def fail(**kwargs):
+            raise PermscanError("no such thing")
+
+        monkeypatch.setattr("permscan.cli.run_scan", fail)
+        paths = [str(tmp_path / name) for name in ("y.csv", "x.csv", "g.csv")]
+        assert main(_scan_args(paths, tmp_path / "r.csv")) == 1
+        assert capsys.readouterr().err == "permscan: no such thing\n"
+
+    def test_bad_config_boolean_is_config_error(self, tmp_path, capsys):
+        config_file = tmp_path / "study.cfg"
+        config_file.write_text("n = 30\nm = 2\nk = 1\nb = 9\ntimings = ture\n")
+        out = tmp_path / "t.csv"
+        assert main(["study", "--config", str(config_file), "--out", str(out)]) == 5
+        assert "bad value for timings: 'ture'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_writes_three_files(self, tmp_path):
@@ -462,6 +481,27 @@ class TestStudyCommand:
         rows = json.loads(out.read_text())
         assert rows[0]["seconds"] > 0.0
 
+    @pytest.mark.parametrize(
+        "value, timed",
+        [
+            ("1", True),
+            ("TRUE", True),
+            ("Yes", True),
+            ("on", True),
+            ("0", False),
+            ("False", False),
+            ("NO", False),
+            ("Off", False),
+        ],
+    )
+    def test_config_file_booleans(self, tmp_path, value, timed):
+        config_file = tmp_path / "study.cfg"
+        config_file.write_text(f"n = 30\nm = 2\nk = 1\nb = 9\ntimings = {value}\n")
+        out = tmp_path / "t.json"
+        args = ["study", "--config", str(config_file), "--format", "json"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert (json.loads(out.read_text())[0]["seconds"] is not None) == timed
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config_file = tmp_path / "study.cfg"
         config_file.write_text("bogus = 1\n")
@@ -484,3 +524,81 @@ class TestWorkersEnvVar:
         _, paths = _simulate_files(tmp_path, seed=17)
         assert main(_scan_args(paths, tmp_path / "r.csv")) == 5
         capsys.readouterr()
+
+
+# Every flag of every subcommand: (value type, or "switch" for a flag that
+# takes no value; default; required; choices).
+FLAGS = {
+    "scan": {
+        "--phenotype": ("str", None, True, None),
+        "--genotypes": ("str", None, True, None),
+        "--covariates": ("str", None, False, None),
+        "--family": ("str", "normal", False, None),
+        "--scheme": ("str", "freedman-lane", False, None),
+        "--b": ("int", 1000, False, None),
+        "--alpha": ("float", 0.05, False, None),
+        "--seed": ("int", 0, False, None),
+        "--workers": ("int", None, False, None),
+        "--out": ("str", None, True, None),
+        "--format": ("str", "csv", False, ("csv", "json")),
+    },
+    "simulate": {
+        "--family": ("str", "normal", False, None),
+        "--n": ("int", None, True, None),
+        "--m": ("int", None, True, None),
+        "--rho": ("float", 0.0, False, None),
+        "--beta-e": ("float", 0.0, False, None),
+        "--maf-low": ("float", 0.05, False, None),
+        "--maf-high": ("float", 0.5, False, None),
+        "--seed": ("int", 0, False, None),
+        "--out-dir": ("str", None, True, None),
+    },
+    # Study flags default to None so that a config-file value can stand.
+    "study": {
+        "--config": ("str", None, False, None),
+        "--family": ("str", None, False, None),
+        "--n": ("int", None, False, None),
+        "--m": ("int", None, False, None),
+        "--rho": ("float", None, False, None),
+        "--beta-e": ("float", None, False, None),
+        "--maf-low": ("float", None, False, None),
+        "--maf-high": ("float", None, False, None),
+        "--schemes": ("str", None, False, None),
+        "--k": ("int", None, False, None),
+        "--b": ("int", None, False, None),
+        "--alpha": ("float", None, False, None),
+        "--seed": ("int", None, False, None),
+        "--workers": ("int", None, False, None),
+        "--timings": ("switch", None, False, None),
+        "--out": ("str", None, True, None),
+        "--format": ("str", "csv", False, ("csv", "json")),
+    },
+}
+
+
+def test_subcommand_flags_are_pinned():
+    parser = build_parser()
+    (commands,) = [
+        action
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {}
+    for name, subparser in commands.choices.items():
+        flags[name] = {}
+        for action in subparser._actions:
+            if action.dest == "help":
+                continue
+            # argparse hands an untyped flag its string unchanged.
+            kind = "switch" if action.nargs == 0 else (action.type or str).__name__
+            flags[name][tuple(action.option_strings)] = (
+                kind,
+                action.default,
+                action.required,
+                action.choices,
+            )
+    expected = {
+        name: {(flag,): spec for flag, spec in specs.items()}
+        for name, specs in FLAGS.items()
+    }
+    assert flags == expected

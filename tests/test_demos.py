@@ -18,8 +18,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(permscan.__file__).resolve().parents[1]
 
 
-# 03 runs a calibration study (tens of seconds) and 06 drives the installed
-# console script, so both stay out of the test run.
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+# 03 runs a calibration study (tens of seconds), so it stays out of the test run.
 @pytest.mark.parametrize(
     "demo",
     [
@@ -30,10 +35,28 @@ SRC = Path(permscan.__file__).resolve().parents[1]
     ],
 )
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_pipeline_demo_runs(tmp_path):
+    # The demo calls the console script; a shim on PATH stands in for it, so
+    # the test runs this source tree whether or not the package is installed.
+    shim = tmp_path / "bin" / "permscan"
+    shim.parent.mkdir()
+    shim.write_text(f'#!/bin/sh\nexec "{sys.executable}" -m permscan.cli "$@"\n')
+    shim.chmod(0o755)
+    env = _env()
+    env["PATH"] = os.pathsep.join([str(shim.parent), env.get("PATH", "")])
+    result = subprocess.run(
+        ["sh", str(ROOT / "demos" / "06_cli_pipeline.sh")],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -41,6 +64,7 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert "study: table written to" in result.stdout
 
 
 def _source_nodes():

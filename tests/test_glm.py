@@ -155,6 +155,37 @@ class TestBinomialFit:
             fit_null(Family.BINOMIAL, np.array([0.0, 1.0, 2.0]), np.ones((3, 1)))
 
 
+# A non-finite phenotype or covariate must be rejected by name, not fitted
+# (NaN) or reported as a rank-deficient design (inf).
+NON_FINITE = [
+    ("y", 3, np.nan),
+    ("y", 0, -np.inf),
+    ("x_e", 4, np.inf),
+    ("x_e", 7, np.nan),
+]
+
+
+def _inputs_with(name, row, value):
+    """A 0/1 phenotype and a two-column design with ``value`` put into one."""
+    inputs = {
+        "y": (np.arange(12) % 3 == 0).astype(float),
+        "x_e": _random_design(12, 2, 21),
+    }
+    if name == "y":
+        inputs["y"][row] = value
+    else:
+        inputs["x_e"][row, 1] = value
+    return inputs
+
+
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("name, row, value", NON_FINITE)
+def test_fit_null_rejects_non_finite_input(family, name, row, value):
+    inputs = _inputs_with(name, row, value)
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        fit_null(family, inputs["y"], inputs["x_e"])
+
+
 class TestHatApply:
     def test_intercept_only_closed_form(self):
         # Hat matrix entries are all 1/n, so the constant vector is fixed.
@@ -283,6 +314,12 @@ class TestDataset:
                 x_e=np.array([[2.0], [1.0], [1.0]]),
                 x_g=np.zeros((3, 1)),
             )
+
+    @pytest.mark.parametrize("name, row, value", NON_FINITE)
+    def test_rejects_non_finite_input(self, name, row, value):
+        inputs = _inputs_with(name, row, value)
+        with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+            Dataset(x_g=np.zeros((12, 1)), **inputs)
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(ValueError):

@@ -113,6 +113,19 @@ def test_writer_rejects_matrix_that_is_not_counts(tmp_path, name):
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "writer, columns",
+    [(io.write_genotypes, "4 genotype columns"), (io.write_covariates, "4 covariates")],
+)
+@pytest.mark.parametrize("names", [["a"], ["a", "b", "c", "d", "e"]])
+def test_writer_rejects_names_that_miss_the_columns(tmp_path, writer, columns, names):
+    path = tmp_path / "out.csv"
+    x = np.ones((3, 4))
+    with pytest.raises(ValueError, match=f"{len(names)} names for {columns}"):
+        writer(path, x, names)
+    assert not path.exists()
+
+
 def test_writer_error_names_first_bad_cell(tmp_path):
     with pytest.raises(ValueError, match="value 3 at row 1, column 2"):
         io.write_genotypes(tmp_path / "g.csv", REJECTED_MATRICES["out-of-range"])
