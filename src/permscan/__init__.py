@@ -45,7 +45,6 @@ from .score import (
 from .simulate import (
     SimulatedDataset,
     SimulationConfig,
-    correlation_factor,
     simulate_dataset,
     simulate_genotypes,
     simulate_phenotype,

@@ -264,11 +264,11 @@ def write_genotypes(path, x_g, names=None):
         handle.buffer.write(body)
 
 
-def write_dataset(directory, dataset, marker_names=None):
+def write_dataset(directory, dataset):
     """Write phenotype.csv, covariates.csv and genotypes.csv under ``directory``.
 
     The intercept column of ``x_e`` is dropped on output (it is re-added on
-    ingestion). Returns the three paths.
+    ingestion) and the markers are named g1..gm. Returns the three paths.
     """
     from pathlib import Path
 
@@ -279,7 +279,7 @@ def write_dataset(directory, dataset, marker_names=None):
     genotypes = directory / "genotypes.csv"
     write_phenotype(phenotype, dataset.y)
     write_covariates(covariates, dataset.x_e[:, 1:])
-    write_genotypes(genotypes, dataset.x_g, marker_names)
+    write_genotypes(genotypes, dataset.x_g)
     return phenotype, covariates, genotypes
 
 

@@ -68,7 +68,7 @@ from .errors import (
 )
 from .glm import Family, batch_solve, binomial_irls, fit_null
 from .rng import substream
-from .score import DEGENERATE_TOL, score_denominators, two_sided_p
+from .score import DEGENERATE_TOL, degenerate, score_denominators, two_sided_p
 
 __all__ = [
     "ResamplingScheme",
@@ -88,6 +88,10 @@ __all__ = [
 
 MAX_REPLICATE_RETRIES = 10
 EXHAUSTIVE_LENGTH_LIMIT = 8
+# Confidence level of maxt_cutoff's order-statistic interval.
+CUTOFF_CONF = 0.95
+# Bootstrap resamples behind mc_mvn_alpha_loc's standard error.
+MC_BOOTSTRAPS = 100
 # Replicates per random stream. Part of the stream definition: changing it
 # changes every draw. Fixed blocks keep replicate r the same for any b.
 _CHUNK = 1024
@@ -287,9 +291,7 @@ def _binomial_refit(x_e, x_g, denom):
             sol, solve_ok = batch_solve(a, cross)
             ok &= solve_ok
             denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
-            ok &= np.all(
-                denom_sq > np.maximum(term1 * DEGENERATE_TOL, DEGENERATE_TOL**2), axis=1
-            )
+            ok &= ~degenerate(denom_sq, term1).any(axis=1)
             row_denom = np.sqrt(np.maximum(denom_sq, DEGENERATE_TOL**2))
         return ((rows - mu) @ x_g) / row_denom, ok
 
@@ -420,15 +422,15 @@ def per_dataset_fwer(dist, observed):
     return (count + 1) / (dist.b + 1)
 
 
-def maxt_cutoff(dist, alpha, conf=0.95):
+def maxt_cutoff(dist, alpha):
     """Estimate the rejection cutoff for FWER level ``alpha``.
 
     ``c`` is the smallest realized order statistic whose plus-one-corrected
     exceedance proportion is at or below ``alpha``; the plain
     ceil(B(1-alpha)) quantile index is recorded alongside (the two differ by
     a couple of indices; the exceedance form is the validity-preserving
-    choice). The local level is 2 * Phi(-c) and the order-statistic
-    confidence interval for the quantile is attached.
+    choice). The local level is 2 * Phi(-c) and the CUTOFF_CONF
+    order-statistic confidence interval for the quantile is attached.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be in (0, 1)")
@@ -451,7 +453,7 @@ def maxt_cutoff(dist, alpha, conf=0.95):
         eq_index = None
         c = quantile_value
         eq_satisfied = False
-    ci_low, ci_high = cutoff_ci(dist, 1.0 - alpha, conf)
+    ci_low, ci_high = cutoff_ci(dist, 1.0 - alpha, CUTOFF_CONF)
     return CutoffResult(
         c=c,
         ci_low=ci_low,
@@ -523,13 +525,14 @@ def bonferroni_sidak(m, alpha):
     return alpha / m, 1.0 - (1.0 - alpha) ** (1.0 / m)
 
 
-def mc_mvn_alpha_loc(correlation, alpha, draws, seed, n_boot=100):
+def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
     """Monte Carlo local level under a multivariate normal score vector.
 
     Samples ``draws`` vectors from N(0, R) through the symmetric square
     root of ``R``, estimates the cutoff as the empirical (1 - alpha)
     quantile of the maximal absolute component and returns
-    2 * Phi(-cutoff) with a bootstrap standard error.
+    2 * Phi(-cutoff) with a standard error from MC_BOOTSTRAPS bootstrap
+    resamples of the draws.
     """
     r = np.asarray(getattr(correlation, "r", correlation), dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
@@ -553,8 +556,8 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed, n_boot=100):
     c = float(np.quantile(max_abs, 1.0 - alpha))
     alpha_loc = two_sided_p(c)
     boot_gen = substream(seed, 1)
-    boot = np.empty(n_boot)
-    for i in range(n_boot):
+    boot = np.empty(MC_BOOTSTRAPS)
+    for i in range(MC_BOOTSTRAPS):
         idx = boot_gen.integers(0, draws, size=draws)
         boot[i] = two_sided_p(np.quantile(max_abs[idx], 1.0 - alpha))
     return McAlphaLoc(alpha_loc=alpha_loc, se=float(np.std(boot, ddof=1)), c=c)

@@ -53,6 +53,16 @@ def _weighted_markers(fit, x_g):
     return np.sqrt(fit.variance_diag)[:, None] * x_g
 
 
+def degenerate(denom_sq, norm_sq):
+    """Mask of markers whose score variance ``denom_sq`` = ||a||^2 - a' H a
+    is zero up to rounding, given ``norm_sq`` = ||a||^2.
+
+    Exact collinearity only cancels down to rounding noise of the norm, so
+    the absolute floor DEGENERATE_TOL^2 is paired with a relative one.
+    """
+    return denom_sq <= np.maximum(norm_sq * DEGENERATE_TOL, DEGENERATE_TOL**2)
+
+
 def score_denominators(fit, x_g):
     """Per-marker denominators sqrt(a_j' (I - H) a_j).
 
@@ -63,19 +73,14 @@ def score_denominators(fit, x_g):
     projected = fit.hat_basis.T @ a
     norm_sq = np.einsum("ij,ij->j", a, a)
     denom_sq = norm_sq - np.einsum("ij,ij->j", projected, projected)
-    denom = np.sqrt(np.maximum(denom_sq, 0.0))
-    # Exact collinearity only cancels down to rounding noise of the norm,
-    # so the absolute floor is paired with a relative one.
-    bad = np.flatnonzero(
-        (denom <= DEGENERATE_TOL) | (denom_sq <= norm_sq * DEGENERATE_TOL)
-    )
+    bad = np.flatnonzero(degenerate(denom_sq, norm_sq))
     if bad.size:
         raise DegenerateMarkerError(
             f"marker {bad[0]} has zero score variance (constant or collinear "
             "with the covariates)",
             marker=int(bad[0]),
         )
-    return denom
+    return np.sqrt(denom_sq)
 
 
 def score_statistics(fit, x_g):

@@ -2,12 +2,14 @@
 
 Genotypes are generated from a latent multivariate normal: each DNA copy of
 an individual draws a standard normal vector, correlates it through the
-closed-form symmetric square root of the compound-symmetry marker
-correlation matrix (no matrix decomposition), and dichotomizes at
-the normal quantile of the minor-allele frequency. Summing the two
-independent copies yields additive 0/1/2 genotypes whose marginal allele
-frequency equals the requested MAF; realized genotype correlations are an
-attenuated version of the latent correlation.
+symmetric square root a I + c J of the compound-symmetry marker correlation
+matrix, and dichotomizes at the normal quantile of the minor-allele
+frequency. The root is applied in closed form as ``a z + c sum(z)``: O(nm)
+time and memory, no m x m matrix, and no BLAS call whose last bits could
+follow the thread count. Summing the two independent copies yields additive
+0/1/2 genotypes whose marginal allele frequency equals the requested MAF;
+realized genotype correlations are an attenuated version of the latent
+correlation.
 
 Phenotypes are drawn under the complete null of no marker association:
 a single standard-normal environmental covariate acts with effect size
@@ -27,7 +29,6 @@ from .rng import substream
 __all__ = [
     "SimulationConfig",
     "SimulatedDataset",
-    "correlation_factor",
     "simulate_genotypes",
     "simulate_phenotype",
     "simulate_dataset",
@@ -73,24 +74,26 @@ class SimulatedDataset:
 
 
 def correlation_factor(m, rho):
-    """Symmetric square root S of the compound-symmetry correlation matrix.
-
-    The matrix (1 - rho) I + rho J (J all ones) has the closed-form root
-    S = sqrt(1 - rho) I + (sqrt(1 + (m - 1) rho) - sqrt(1 - rho)) / m J, so S
-    does not depend on the BLAS thread count. ``rho == 0`` gives the identity.
+    """Coefficients ``(a, c)`` of the symmetric square root a I + c J of the
+    compound-symmetry correlation matrix (1 - rho) I + rho J (J all ones):
+    a = sqrt(1 - rho) and c = (sqrt(1 + (m - 1) rho) - a) / m. ``rho == 0``
+    gives (1, 0), the identity.
     """
     if not 0.0 <= rho < 1.0:
         raise ConfigError("compound symmetry requires 0 <= rho < 1")
-    diagonal = np.sqrt(1.0 - rho)
-    factor = np.full((m, m), (np.sqrt(1.0 + (m - 1) * rho) - diagonal) / m)
-    factor[np.diag_indices(m)] += diagonal
-    return factor
+    a = np.sqrt(1.0 - rho)
+    return a, (np.sqrt(1.0 + (m - 1) * rho) - a) / m
 
 
-def _draw_alleles(gen, n, factor, threshold):
-    """One DNA copy for all individuals: dichotomized correlated normals."""
-    latent = gen.standard_normal((n, factor.shape[0])) @ factor.T
-    return latent < threshold
+def _draw_alleles(gen, n, root, threshold):
+    """One DNA copy for all individuals: dichotomized correlated normals.
+
+    ``root`` is the ``(a, c)`` pair of ``correlation_factor``; each row z
+    becomes (a I + c J) z = a z + c sum(z).
+    """
+    a, c = root
+    z = gen.standard_normal((n, threshold.size))
+    return a * z + c * z.sum(axis=1, keepdims=True) < threshold
 
 
 def simulate_genotypes(config, *, stream_path=()):
@@ -104,12 +107,12 @@ def simulate_genotypes(config, *, stream_path=()):
     maf = substream(config.seed, *stream_path, _LANE_MAF).uniform(
         config.maf_range[0], config.maf_range[1], size=config.m
     )
-    factor = correlation_factor(config.m, config.rho)
+    root = correlation_factor(config.m, config.rho)
     threshold = np.array([NormalDist().inv_cdf(p) for p in maf])
     for attempt in range(MONOMORPHIC_RETRIES):
         gen = substream(config.seed, *stream_path, _LANE_GENOTYPE, attempt)
-        copy_one = _draw_alleles(gen, config.n, factor, threshold)
-        copy_two = _draw_alleles(gen, config.n, factor, threshold)
+        copy_one = _draw_alleles(gen, config.n, root, threshold)
+        copy_two = _draw_alleles(gen, config.n, root, threshold)
         genotypes = (copy_one.astype(np.int8) + copy_two.astype(np.int8)).astype(float)
         if np.all(genotypes.min(axis=0) < genotypes.max(axis=0)):
             return genotypes, maf

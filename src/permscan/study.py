@@ -16,6 +16,7 @@ import ctypes
 import hashlib
 import json
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
@@ -185,33 +186,36 @@ def _one_blas_thread():
 
 
 def _dataset_alpha_hats(config, k):
-    """alpha_hat_k for every scheme on dataset k (worker task)."""
+    """alpha_hat_k for every scheme on dataset k (worker task), with the
+    warnings the dataset raised. They are recorded under the caller's
+    filters, so a filter that turns a warning into an error raises here."""
     sim = replace(config.sim, seed=config.master_seed)
     try:
-        simulated = simulate_dataset(sim, stream_path=(k,))
-        dataset = simulated.dataset
-        fit = fit_null(sim.family, dataset.y, dataset.x_e)
-        observed = score_statistics(fit, dataset.x_g)
-        alpha_hats = {}
-        seconds = {}
-        for scheme in config.schemes:
-            start = time.perf_counter()
-            dist = replicate_statistics(
-                scheme,
-                fit,
-                dataset,
-                config.b,
-                config.master_seed,
-                stream_path=(k, RESAMPLING_LANE),
-            )
-            alpha_hats[scheme] = per_dataset_fwer(dist, observed)
-            seconds[scheme] = time.perf_counter() - start
+        with warnings.catch_warnings(record=True) as caught:
+            simulated = simulate_dataset(sim, stream_path=(k,))
+            dataset = simulated.dataset
+            fit = fit_null(sim.family, dataset.y, dataset.x_e)
+            observed = score_statistics(fit, dataset.x_g)
+            alpha_hats = {}
+            seconds = {}
+            for scheme in config.schemes:
+                start = time.perf_counter()
+                dist = replicate_statistics(
+                    scheme,
+                    fit,
+                    dataset,
+                    config.b,
+                    config.master_seed,
+                    stream_path=(k, RESAMPLING_LANE),
+                )
+                alpha_hats[scheme] = per_dataset_fwer(dist, observed)
+                seconds[scheme] = time.perf_counter() - start
     except PermscanError as exc:
         # Re-raise the same object so that its type and context attributes
         # (replicate, marker, row, column) survive the prefix.
         exc.args = (f"dataset {k}: {exc}",)
         raise
-    return k, alpha_hats, seconds
+    return k, alpha_hats, seconds, [w.message for w in caught]
 
 
 def run_study(config):
@@ -223,11 +227,14 @@ def run_study(config):
     run on one BLAS thread for the whole loop; the caller's BLAS thread
     count is restored on return, also when a dataset raises. Aggregation is
     keyed by dataset index, so the result is identical for any worker count.
+    Each distinct warning the datasets raise is emitted once, whatever the
+    worker count.
     """
     alpha_hat = {scheme: np.empty(config.k) for scheme in config.schemes}
     seconds = {scheme: 0.0 for scheme in config.schemes}
     task = partial(_dataset_alpha_hats, config)
     workers = min(config.workers, config.k)
+    emitted = set()
     with ExitStack() as stack:
         stack.enter_context(_one_blas_thread())
         results = map(task, range(config.k))
@@ -237,10 +244,15 @@ def run_study(config):
             )
             chunk = max(1, config.k // (workers * 8))
             results = pool.map(task, range(config.k), chunksize=chunk)
-        for k, hats, secs in results:
+        for k, hats, secs, caught in results:
             for scheme in config.schemes:
                 alpha_hat[scheme][k] = hats[scheme]
                 seconds[scheme] += secs[scheme]
+            for message in caught:
+                key = (type(message), str(message))
+                if key not in emitted:
+                    emitted.add(key)
+                    warnings.warn(message, stacklevel=2)
 
     per_scheme = {}
     for scheme in config.schemes:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from permscan import (
     ConfigError,
     Family,
     SimulationConfig,
-    correlation_factor,
     fit_null,
     score_statistics,
     simulate_dataset,
@@ -25,28 +25,37 @@ from permscan import (
     simulate_phenotype,
 )
 from permscan import simulate
+from permscan.simulate import correlation_factor
+
+
+def _root_matrix(m, rho):
+    a, c = correlation_factor(m, rho)
+    return a * np.eye(m) + c * np.ones((m, m))
+
+
+def _compound_symmetry(m, rho):
+    sigma = np.full((m, m), rho)
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
 
 
 class TestCorrelationFactor:
     def test_independent_is_identity(self):
-        assert_allclose(correlation_factor(7, 0.0), np.eye(7), atol=0)
+        assert correlation_factor(7, 0.0) == (1.0, 0.0)
 
     def test_two_marker_reconstruction(self):
-        factor = correlation_factor(2, 0.7)
-        assert_allclose(
-            factor @ factor.T, [[1.0, 0.7], [0.7, 1.0]], atol=1e-12
-        )
+        root = _root_matrix(2, 0.7)
+        assert_allclose(root @ root, _compound_symmetry(2, 0.7), atol=1e-12)
 
     def test_compound_symmetry_spectrum(self):
         m, rho = 100, 0.7
-        factor = correlation_factor(m, rho)
-        sigma = factor @ factor.T
-        expected = np.full((m, m), rho)
-        np.fill_diagonal(expected, 1.0)
-        assert_allclose(sigma, expected, atol=1e-10)
-        eigenvalues = np.linalg.eigvalsh(sigma)
-        assert eigenvalues.min() >= -1e-10
-        assert_allclose(eigenvalues.max(), 1 + (m - 1) * rho, rtol=1e-10)
+        root = _root_matrix(m, rho)
+        sigma = root @ root
+        assert_allclose(sigma, _compound_symmetry(m, rho), atol=1e-10)
+        # One eigenvalue 1 + (m - 1) rho along the ones vector, and 1 - rho
+        # repeated m - 1 times on its complement.
+        expected = np.r_[np.full(m - 1, 1 - rho), 1 + (m - 1) * rho]
+        assert_allclose(np.linalg.eigvalsh(sigma), expected, rtol=1e-10)
 
     def test_rejects_invalid_rho(self):
         with pytest.raises(ConfigError):
@@ -54,17 +63,25 @@ class TestCorrelationFactor:
         with pytest.raises(ConfigError):
             correlation_factor(5, -0.2)
 
+    def test_closed_form_matches_the_dense_root(self):
+        n, m, rho = 50, 300, 0.5
+        threshold = np.linspace(-1.5, 0.0, m)
+        alleles = simulate._draw_alleles(
+            np.random.default_rng(3), n, correlation_factor(m, rho), threshold
+        )
+        latent = np.random.default_rng(3).standard_normal((n, m)) @ _root_matrix(m, rho)
+        assert np.array_equal(alleles, latent < threshold)
+
     def test_genotypes_do_not_depend_on_blas_threads(self, tmp_path):
-        # The eigenvalue 1 - rho of the latent correlation is repeated m - 1
-        # times, so a factor taken from a decomposition would follow the
-        # LAPACK thread path and change the simulated genotypes with it.
+        # The root is applied in closed form, with no BLAS call whose last
+        # bits could follow the thread count into the thresholded latents.
         config = "SimulationConfig(n=50, m=2000, family=Family.NORMAL, rho=0.5)"
         script = "\n".join(
             [
                 "import sys",
                 "import numpy as np",
-                "from permscan import Family, SimulationConfig",
-                "from permscan import correlation_factor, simulate_genotypes",
+                "from permscan import Family, SimulationConfig, simulate_genotypes",
+                "from permscan.simulate import correlation_factor",
                 "np.save(sys.argv[1], correlation_factor(2000, 0.5))",
                 f"np.save(sys.argv[2], simulate_genotypes({config})[0])",
             ]
@@ -79,7 +96,7 @@ class TestCorrelationFactor:
             check=True,
         )
         sim = SimulationConfig(n=50, m=2000, family=Family.NORMAL, rho=0.5)
-        assert np.load(factor).tobytes() == correlation_factor(2000, 0.5).tobytes()
+        assert tuple(np.load(factor)) == correlation_factor(2000, 0.5)
         assert np.load(genotypes).tobytes() == simulate_genotypes(sim)[0].tobytes()
 
 
@@ -133,14 +150,25 @@ class TestGenotypes:
         thresholds = []
         draw = simulate._draw_alleles
 
-        def recording(gen, n, factor, threshold):
+        def recording(gen, n, root, threshold):
             thresholds.append(threshold)
-            return draw(gen, n, factor, threshold)
+            return draw(gen, n, root, threshold)
 
         monkeypatch.setattr(simulate, "_draw_alleles", recording)
         config = SimulationConfig(n=200, m=500, family=Family.NORMAL, seed=6)
         _, maf = simulate_genotypes(config)
         assert_allclose(thresholds[0], ndtri(maf), rtol=0, atol=2e-15)
+
+    def test_memory_is_linear_in_markers(self):
+        # A dense m x m root alone would take 8 m^2 bytes (128 MB here).
+        config = SimulationConfig(n=20, m=4000, family=Family.NORMAL, rho=0.5)
+        tracemalloc.start()
+        try:
+            simulate_genotypes(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * config.n * config.m * 8
 
     def test_monomorphic_columns_redrawn(self):
         # Tiny n with extreme MAF produces monomorphic draws with high

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo calibration harness."""
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -135,6 +136,32 @@ class TestRunStudy:
             run_study(_small_config(k=2))
         assert info.value.replicate == 3
         assert "dataset 0" in str(info.value)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_warning_is_emitted_once(self, workers):
+        # Every binomial dataset warns that freedman-lane rests on normal
+        # theory; the study passes the warning on once, in any process layout.
+        sim = SimulationConfig(n=60, m=5, family=Family.BINOMIAL, seed=1)
+        config = StudyConfig(
+            sim=sim, schemes=(ResamplingScheme.FREEDMAN_LANE,), k=4, b=19, workers=workers
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            run_study(config)
+        messages = [str(w.message) for w in caught if w.category is UserWarning]
+        assert len(messages) == 1
+        assert "standardized-residuals scheme is the intended analogue" in messages[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runtime_warning_in_a_dataset_is_an_error(self, monkeypatch, workers):
+        def warn(dist, observed):
+            warnings.warn("overflow in a dataset", RuntimeWarning)
+            return 0.5
+
+        monkeypatch.setattr(study, "per_dataset_fwer", warn)
+        with pytest.raises(RuntimeWarning, match="overflow in a dataset"):
+            run_study(_small_config(workers=workers, k=2))
 
     def test_rejects_empty_schemes(self):
         sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
