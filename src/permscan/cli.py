@@ -45,6 +45,7 @@ from .io import (
 from .resampling import (
     ResamplingScheme,
     bonferroni_sidak,
+    check_cutoff_request,
     maxt_cutoff,
     replicate_statistics,
 )
@@ -119,6 +120,7 @@ def run_scan(
     seed=0,
 ):
     """Ingest the CSV files, run the scheme and build a ScanReport."""
+    check_cutoff_request(b, alpha)
     dataset, marker_names = ingest(phenotype, genotypes, covariates)
     if family is Family.BINOMIAL:
         bad = np.flatnonzero((dataset.y != 0.0) & (dataset.y != 1.0))

@@ -24,7 +24,7 @@ from .errors import (
 __all__ = ["Family", "Dataset", "NullModelFit", "fit_null"]
 
 IRLS_MAX_ITER = 50
-IRLS_RTOL = 1e-10
+IRLS_STEP_TOL = 1e-5
 SEPARATION_TOL = 1e-10
 
 
@@ -177,8 +177,10 @@ def _qr_solve(a, rhs):
 class BatchIrls(NamedTuple):
     """Binomial IRLS fits of a batch of responses, one row each.
 
-    ``iterations`` counts the passes of the shared loop. A row failed when
-    a weighted system was ``singular``, its probabilities were
+    ``iterations`` counts the passes of the shared loop. A row is
+    ``converged`` once a Newton step, the change of its coefficients over
+    one pass, was small relative to the coefficients (IRLS_STEP_TOL). A row
+    failed when a weighted system was ``singular``, its probabilities were
     ``separated`` (reached 0 or 1) or it did not reach ``converged``.
     """
 
@@ -213,41 +215,34 @@ def batch_solve(a, rhs):
         return (out[..., 0] if vector else out), ok
 
 
-def _rowwise_loglik(ys, mu):
-    mu = np.clip(mu, 1e-300, 1.0 - 1e-16)
-    return np.einsum("bn,bn->b", ys, np.log(mu)) + np.einsum(
-        "bn,bn->b", 1.0 - ys, np.log1p(-mu)
-    )
-
-
 def binomial_irls(x_e, ys):
     """Logistic fit of every 0/1 row of ``ys`` on ``x_e`` by batch IRLS.
 
     Each pass solves the weighted normal equations of all rows at once. A
-    row has converged once its relative log-likelihood change drops below
-    IRLS_RTOL; the loop stops when every row has, or after IRLS_MAX_ITER
-    passes. Separation makes the likelihood creep forever, so it is
-    diagnosed on the final probabilities whether or not a row converged.
+    row has converged once its Newton step is at most IRLS_STEP_TOL times
+    1 + max|coef| in the max norm; pass 1 has no earlier coefficients, so no
+    row converges on it. The loop stops when every row has converged, or
+    after IRLS_MAX_ITER passes. Separated coefficients diverge, so
+    separation is diagnosed on the final probabilities whether or not a row
+    converged.
     """
     batch = ys.shape[0]
     mu = (ys + 0.5) / 2.0
     eta = np.log(mu / (1.0 - mu))
-    loglik = _rowwise_loglik(ys, mu)
     converged = np.zeros(batch, dtype=bool)
     singular = np.zeros(batch, dtype=bool)
     for iteration in range(1, IRLS_MAX_ITER + 1):
         w = mu * (1.0 - mu)
         z = eta + (ys - mu) / w
         a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
-        coef, ok = batch_solve(a, (w * z) @ x_e)
+        new, ok = batch_solve(a, (w * z) @ x_e)
         singular |= ~ok
+        if iteration > 1:
+            step = np.abs(new - coef).max(axis=1)
+            converged |= step <= IRLS_STEP_TOL * (1.0 + np.abs(new).max(axis=1))
+        coef = new
         eta = coef @ x_e.T
         mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-        loglik_new = _rowwise_loglik(ys, mu)
-        converged |= np.abs(loglik_new - loglik) < IRLS_RTOL * np.maximum(
-            np.abs(loglik), 1e-10
-        )
-        loglik = loglik_new
         if converged.all():
             break
     separated = (mu.min(axis=1) < SEPARATION_TOL) | (
@@ -261,9 +256,9 @@ def fit_null(family, y, x_e):
 
     Normal responses use exact least squares with dispersion estimated as
     ||residuals||^2 / (n - d). Binomial responses are the batch-of-one case
-    of ``binomial_irls``: relative log-likelihood change below 1e-10 within
-    50 iterations; fits whose probabilities collapse to 0 or 1 are rejected
-    as quasi-separated.
+    of ``binomial_irls``: a Newton step of at most IRLS_STEP_TOL relative to
+    the coefficients within IRLS_MAX_ITER iterations; fits whose
+    probabilities collapse to 0 or 1 are rejected as quasi-separated.
     """
     if not isinstance(family, Family):
         raise ValueError(f"unsupported family: {family!r}")

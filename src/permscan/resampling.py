@@ -156,8 +156,8 @@ class MaxTDistribution:
 class CutoffResult:
     """MaxT cutoff with its order-statistic confidence interval.
 
-    ``c`` is the smallest realized order statistic for which the
-    plus-one-corrected exceedance proportion stays at or below ``alpha``
+    ``c`` is the smallest realized order statistic whose exceedance
+    proportion (``per_dataset_fwer``'s rule) stays at or below ``alpha``
     (``eq_index``, 1-based). When no order statistic achieves the bound
     (fully degenerate distributions) ``c`` falls back to the plain
     ceil(B * (1 - alpha)) order statistic, which is always reported
@@ -284,18 +284,25 @@ def _binomial_refit(x_e, x_g, denom):
         mu, ok = fit.mu, fit.ok
         row_denom = denom
         if denom is None:
-            w = mu * (1.0 - mu)
-            term1 = w @ (x_g**2)
-            cross = np.einsum("ni,bn,nj->bij", x_e, w, x_g, optimize=True)
-            a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
-            sol, solve_ok = batch_solve(a, cross)
-            ok &= solve_ok
-            denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
-            ok &= ~degenerate(denom_sq, term1).any(axis=1)
-            row_denom = np.sqrt(np.maximum(denom_sq, DEGENERATE_TOL**2))
+            row_denom, denom_ok = _refit_denominators(x_e, x_g, mu)
+            ok &= denom_ok
         return ((rows - mu) @ x_g) / row_denom, ok
 
     return evaluate
+
+
+def _refit_denominators(x_e, x_g, mu):
+    """Score denominators of each row of fitted probabilities ``mu`` and the
+    mask of rows with a regular system and no degenerate marker. Returning
+    frees the (rows, d, m) intermediates before the statistics are formed."""
+    w = mu * (1.0 - mu)
+    term1 = w @ (x_g**2)
+    cross = np.einsum("ni,bn,nj->bij", x_e, w, x_g, optimize=True)
+    a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
+    sol, ok = batch_solve(a, cross)
+    denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
+    ok &= ~degenerate(denom_sq, term1).any(axis=1)
+    return np.sqrt(np.maximum(denom_sq, DEGENERATE_TOL**2)), ok
 
 
 def _kernel(scheme, fit, dataset):
@@ -412,39 +419,53 @@ def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
     return np.vstack(list(_statistics(kernel, seed, stream_path, b)))
 
 
-def per_dataset_fwer(dist, observed):
-    """Plus-one-corrected proportion of replicate maxima at or above the
-    observed maximum (the exhaustive mode drops the correction: all
-    permutations, identity included, are already enumerated)."""
-    count = int(np.count_nonzero(dist.max_stats >= observed.max_abs_t))
+def _exceedance(dist, values):
+    """Proportion of replicate maxima at or above each of ``values``: plus-one
+    corrected, except in the exhaustive mode, whose permutations already
+    include the identity."""
+    counts = dist.b - np.searchsorted(dist.max_stats, values, side="left")
     if dist.exhaustive:
-        return count / dist.b
-    return (count + 1) / (dist.b + 1)
+        return counts / dist.b
+    return (counts + 1) / (dist.b + 1)
+
+
+def per_dataset_fwer(dist, observed):
+    """Exceedance proportion of the observed maximum among the replicate maxima."""
+    return float(_exceedance(dist, observed.max_abs_t))
+
+
+def check_cutoff_request(b, alpha):
+    """Raise unless ``b`` replicates can give a cutoff at FWER level
+    ``alpha``: ``alpha`` in (0, 1) and at least one replicate above the
+    ceil(b(1 - alpha)) order statistic. Callers check before resampling."""
+    if b < 1:
+        raise ConfigError("need at least one replicate")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError("alpha must be in (0, 1)")
+    if b * (1.0 - alpha) < 1.0:
+        raise InsufficientReplicatesError(
+            f"B={b} replicates cannot resolve the {1 - alpha:.4g} quantile"
+        )
 
 
 def maxt_cutoff(dist, alpha):
     """Estimate the rejection cutoff for FWER level ``alpha``.
 
-    ``c`` is the smallest realized order statistic whose plus-one-corrected
-    exceedance proportion is at or below ``alpha``; the plain
-    ceil(B(1-alpha)) quantile index is recorded alongside (the two differ by
-    a couple of indices; the exceedance form is the validity-preserving
-    choice). The local level is 2 * Phi(-c) and the CUTOFF_CONF
-    order-statistic confidence interval for the quantile is attached.
+    ``c`` is the smallest realized order statistic whose exceedance
+    proportion (as in ``per_dataset_fwer``) is at or below ``alpha``; the
+    plain ceil(B(1-alpha)) quantile index is recorded alongside (the two
+    differ by a couple of indices; the exceedance form is the
+    validity-preserving choice). The local level is 2 * Phi(-c) and the
+    CUTOFF_CONF order-statistic confidence interval for the quantile is
+    attached.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must be in (0, 1)")
     b = dist.b
-    if b * (1.0 - alpha) < 1.0:
-        raise InsufficientReplicatesError(
-            f"B={b} replicates cannot resolve the {1 - alpha:.4g} quantile"
-        )
+    check_cutoff_request(b, alpha)
     stats = dist.max_stats
     quantile_index = math.ceil(b * (1.0 - alpha))
     quantile_value = float(stats[quantile_index - 1])
 
-    counts_ge = b - np.searchsorted(stats, stats, side="left")
-    satisfies = (counts_ge + 1) / (b + 1) <= alpha
+    satisfies = _exceedance(dist, stats) <= alpha
     if satisfies.any():
         eq_index = int(np.argmax(satisfies)) + 1
         c = float(stats[eq_index - 1])

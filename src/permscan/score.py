@@ -7,8 +7,10 @@ Each marker j is tested against the null fit with the statistic
 
 where H is the weighted hat projection of the null fit. The dispersion
 cancels between numerator and denominator, so only the variance diagonal
-needs estimating. Denominators depend on the design alone and are computed
-once per dataset, then shared across all resampling replicates.
+needs estimating. Denominators depend on the design alone. They are
+computed once for the observed statistics and once per resampling scheme,
+then shared across all of that scheme's replicates; only the binomial
+bootstrap recomputes them on every replicate.
 """
 
 import math

@@ -56,6 +56,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.family, Family):
+            raise ConfigError(f"family must be a Family, got {self.family!r}")
         if self.n < 3 or self.m < 1:
             raise ConfigError("need n >= 3 individuals and m >= 1 markers")
         if not 0.0 <= self.rho < 1.0:

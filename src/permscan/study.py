@@ -29,6 +29,7 @@ from .errors import ConfigError, PermscanError
 from .glm import fit_null
 from .resampling import (
     ResamplingScheme,
+    check_cutoff_request,
     maxt_cutoff,
     mc_mvn_alpha_loc,
     per_dataset_fwer,
@@ -74,15 +75,18 @@ class StudyConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "schemes", tuple(self.schemes))
         if self.k < 1 or self.b < 1:
             raise ConfigError("need k >= 1 datasets and b >= 1 replicates")
         if not self.schemes:
             raise ConfigError("at least one resampling scheme is required")
+        for scheme in self.schemes:
+            if not isinstance(scheme, ResamplingScheme):
+                raise ConfigError(f"scheme must be a ResamplingScheme, got {scheme!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be in (0, 1)")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        object.__setattr__(self, "schemes", tuple(self.schemes))
 
 
 @dataclass(frozen=True)
@@ -282,6 +286,7 @@ def alpha_loc_study(sim, scheme, b, alpha=0.05, *, mc_draws=0, mc_seed=1):
     score correlation matrix is also fed to the multivariate-normal Monte
     Carlo estimator as an independent cross-check.
     """
+    check_cutoff_request(b, alpha)
     simulated = simulate_dataset(sim)
     dataset = simulated.dataset
     fit = fit_null(sim.family, dataset.y, dataset.x_e)

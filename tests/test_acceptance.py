@@ -5,6 +5,7 @@ calibration studies (criteria 1 and 2) run at desk scale, K = 1000 datasets
 by B = 500 replicates, and dominate the runtime of this module.
 """
 
+import math
 import time
 
 import numpy as np
@@ -47,6 +48,14 @@ VALID_SCHEMES = (
     ResamplingScheme.PARAMETRIC_BOOTSTRAP,
 )
 
+# Criteria 1 and 2 also compare each scheme's K alpha_hat values with the
+# grid j/(B+1), on which a valid scheme's alpha_hat is uniform. The bound
+# was fixed before any data were seen: the Dvoretzky-Kiefer-Wolfowitz 1 %
+# critical value of the Kolmogorov distance, Bonferroni-adjusted over the
+# 18 grid checks (16 uniformity checks, 2 raw-y checks).
+GRID_CHECKS = 18
+GRID_BOUND = math.sqrt(math.log(2 * GRID_CHECKS / 0.01) / (2 * DESK_K))
+
 
 def _report(number, label, checks):
     failed = [detail for ok, detail in checks if not ok]
@@ -55,6 +64,35 @@ def _report(number, label, checks):
     for ok, detail in checks:
         print(f"    {'ok  ' if ok else 'FAIL'} {detail}")
     assert not failed, f"criterion {number} failed: {failed}"
+
+
+def _grid_gap(alpha_hat, b):
+    """F(j/(b+1)) - j/(b+1) for j = 1..b+1, F the empirical CDF of alpha_hat."""
+    j = np.rint(np.asarray(alpha_hat) * (b + 1)).astype(int)
+    ecdf = np.cumsum(np.bincount(j, minlength=b + 2)[1:]) / len(j)
+    return ecdf - np.arange(1, b + 2) / (b + 1)
+
+
+def _uniform_check(result, scheme, label):
+    gap = _grid_gap(result.per_scheme[scheme].alpha_hat, DESK_B)
+    distance = float(np.max(np.abs(gap)))
+    return (
+        distance <= GRID_BOUND,
+        f"{label} {scheme.value}: Kolmogorov distance to the grid "
+        f"{distance:.4f} <= {GRID_BOUND:.4f}",
+    )
+
+
+def _below_grid_check(result, label):
+    """Raw-y's empirical CDF lies below the grid: nowhere above it by more
+    than the bound, and somewhere below it by more than the bound."""
+    gap = _grid_gap(result.per_scheme[ResamplingScheme.RAW_Y].alpha_hat, DESK_B)
+    above, below = float(gap.max()), float(-gap.min())
+    return (
+        above <= GRID_BOUND < below,
+        f"{label} raw-y: ECDF above the grid by at most {above:.4f} <= "
+        f"{GRID_BOUND:.4f} < {below:.4f} below it",
+    )
 
 
 def _calibration(family, beta_e, schemes, rho=0.7):
@@ -88,6 +126,10 @@ def test_criterion_1_normal_calibration_pattern():
                     f"in [{BAND[0]:.3f}, {BAND[1]:.3f}]",
                 )
             )
+        for scheme in VALID_SCHEMES:
+            checks.append(_uniform_check(result, scheme, f"beta_e={beta_e}"))
+        if beta_e >= 0.5:
+            checks.append(_below_grid_check(result, f"beta_e={beta_e}"))
         raw = result.per_scheme[ResamplingScheme.RAW_Y].alpha_tilde
         if beta_e == 0.5:
             checks.append((raw <= 0.035, f"beta_e=0.5 raw-y: {raw:.4f} <= 0.035"))
@@ -124,6 +166,7 @@ def test_criterion_2_binomial_calibration_pattern():
                         f"beta_e=0 {scheme.value}: alpha_tilde={value:.4f} in band",
                     )
                 )
+                checks.append(_uniform_check(result, scheme, "beta_e=0"))
         else:
             raw = values[ResamplingScheme.RAW_Y]
             boot = values[ResamplingScheme.PARAMETRIC_BOOTSTRAP]
@@ -134,6 +177,9 @@ def test_criterion_2_binomial_calibration_pattern():
                     BAND[0] <= boot <= BAND[1],
                     f"beta_e=1.5 bootstrap: {boot:.4f} in band",
                 )
+            )
+            checks.append(
+                _uniform_check(result, ResamplingScheme.PARAMETRIC_BOOTSTRAP, "beta_e=1.5")
             )
             checks.append(
                 (

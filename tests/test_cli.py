@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.special import ndtr
 
 from permscan import Family, SimulationConfig, simulate_dataset
+from permscan import cli
 from permscan.cli import build_parser, main
 from permscan.errors import PermscanError
 from permscan.io import ingest, write_dataset
@@ -200,6 +201,27 @@ class TestExitCodes:
         args = _scan_args(paths, tmp_path / "r.csv")
         args[args.index("--b") + 1] = "1"
         assert main(args) == 4
+
+    @pytest.mark.parametrize(
+        "alpha, b, code, message",
+        [
+            ("1.5", "100000", 5, "alpha must be in (0, 1)"),
+            ("0.99", "50", 4, "B=50 replicates cannot resolve the 0.01 quantile"),
+        ],
+    )
+    def test_alpha_is_checked_before_resampling(
+        self, tmp_path, capsys, monkeypatch, alpha, b, code, message
+    ):
+        def replicate_statistics(*args, **kwargs):
+            pytest.fail("resampled before checking alpha against B")
+
+        monkeypatch.setattr(cli, "replicate_statistics", replicate_statistics)
+        _, paths = _simulate_files(tmp_path, seed=16)
+        args = _scan_args(paths, tmp_path / "r.csv", extra=("--alpha", alpha))
+        args[args.index("--b") + 1] = b
+        assert main(args) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_config_error_exit_codes(self, tmp_path, capsys):
         _, paths = _simulate_files(tmp_path, seed=15)

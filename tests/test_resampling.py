@@ -467,6 +467,22 @@ class TestMaxtCutoff:
         alpha_locs = [maxt_cutoff(dist, a).alpha_loc for a in (0.01, 0.05, 0.1, 0.2)]
         assert all(a <= b for a, b in zip(alpha_locs, alpha_locs[1:]))
 
+    def test_exhaustive_cutoff_follows_per_dataset_fwer(self):
+        # All 720 permutations, identity included: no plus-one correction,
+        # so 685.5 (35 of 720 maxima above it) is rejected at 0.05 by both.
+        dist = _synthetic_dist(np.arange(1.0, 721.0), exhaustive=True)
+        observed = dataclasses.replace(
+            score_statistics(
+                fit_null(Family.NORMAL, np.arange(6.0), np.ones((6, 1))),
+                np.array([[0.0], [1.0], [2.0], [0.0], [1.0], [2.0]]),
+            ),
+            max_abs_t=685.5,
+        )
+        assert per_dataset_fwer(dist, observed) == 35 / 720
+        cutoff = maxt_cutoff(dist, 0.05)
+        assert cutoff.c == 685.0 and cutoff.eq_index == 685
+        assert observed.max_abs_t >= cutoff.c
+
     def test_insufficient_replicates(self):
         dist = _synthetic_dist(np.arange(10.0))
         with pytest.raises(InsufficientReplicatesError):

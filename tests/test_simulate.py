@@ -265,3 +265,8 @@ class TestConfigValidation:
             SimulationConfig(n=2, m=1, family=Family.NORMAL)
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, m=0, family=Family.NORMAL)
+
+    @pytest.mark.parametrize("family", ["normal", "binomial", None])
+    def test_rejects_a_family_that_is_not_a_family(self, family):
+        with pytest.raises(ConfigError, match="family must be a Family"):
+            SimulationConfig(n=10, m=2, family=family)

@@ -11,6 +11,7 @@ from permscan import (
     ConfigError,
     FitError,
     Family,
+    PermscanError,
     ReplicateFailureError,
     ResamplingScheme,
     SimulationConfig,
@@ -168,6 +169,24 @@ class TestRunStudy:
         with pytest.raises(ConfigError):
             StudyConfig(sim=sim, schemes=(), k=1, b=1)
 
+    @pytest.mark.parametrize(
+        "schemes", [("freedman-lane",), "freedman-lane", (ResamplingScheme.RAW_Y, None)]
+    )
+    def test_rejects_schemes_that_are_not_schemes(self, schemes):
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(ConfigError, match="scheme must be a ResamplingScheme"):
+            StudyConfig(sim=sim, schemes=schemes, k=1, b=1)
+
+    @pytest.mark.parametrize("alpha, b", [(1.5, 100_000), (0.99, 50)])
+    def test_alpha_loc_study_checks_alpha_before_resampling(self, monkeypatch, alpha, b):
+        def replicate_statistics(*args, **kwargs):
+            pytest.fail("resampled before checking alpha against B")
+
+        monkeypatch.setattr(study, "replicate_statistics", replicate_statistics)
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(PermscanError, match="alpha must be in|cannot resolve"):
+            alpha_loc_study(sim, ResamplingScheme.FREEDMAN_LANE, b=b, alpha=alpha)
+
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, workers):
         with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
@@ -188,6 +207,33 @@ class TestRunStudy:
         for alpha in (0.05, 0.1, 0.25, 0.5):
             buffer = 3 * np.sqrt(alpha * (1 - alpha) / config.k)
             assert np.mean(hats <= alpha) <= alpha + buffer
+
+    def test_residual_schemes_ignore_the_covariate_effect(self):
+        # These schemes see the normal response only through (I - H) y, and
+        # the covariate effect lies in the span of x_e; raw-y shows that the
+        # response did change.
+        invariant = (
+            ResamplingScheme.FREEDMAN_LANE,
+            ResamplingScheme.STANDARDIZED_RESIDUALS,
+            ResamplingScheme.MODIFIED_MODEL,
+            ResamplingScheme.PARAMETRIC_BOOTSTRAP,
+        )
+        hats = []
+        for beta_e in (0.0, 0.5, 1.0):
+            sim = SimulationConfig(n=60, m=8, family=Family.NORMAL, beta_e=beta_e, rho=0.5)
+            config = StudyConfig(
+                sim=sim,
+                schemes=invariant + (ResamplingScheme.RAW_Y,),
+                k=20,
+                b=100,
+                master_seed=4242,
+            )
+            hats.append({s: c.alpha_hat for s, c in run_study(config).per_scheme.items()})
+        for other in hats[1:]:
+            for scheme in invariant:
+                assert np.array_equal(other[scheme], hats[0][scheme]), scheme
+        raw = [h[ResamplingScheme.RAW_Y] for h in hats]
+        assert not np.array_equal(raw[0], raw[2])
 
 
 @pytest.fixture
