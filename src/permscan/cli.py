@@ -21,6 +21,7 @@ requests produce byte-identical output files for any worker count.
 
 import argparse
 import contextlib
+import csv
 import json
 import os
 import sys
@@ -191,11 +192,12 @@ def write_scan_report(report, path, fmt):
             handle.write(f"# cutoff.{key}={value}\n")
         handle.write(f"# baseline.bonferroni={report.alpha_bonferroni!r}\n")
         handle.write(f"# baseline.sidak={report.alpha_sidak!r}\n")
-        handle.write("marker,t,p_value,rejected\n")
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["marker", "t", "p_value", "rejected"])
         for name, t, p, r in zip(
             report.marker_names, report.t, report.p_values, report.rejected
         ):
-            handle.write(f"{name},{float(t)!r},{float(p)!r},{int(r)}\n")
+            writer.writerow([name, float(t), float(p), int(r)])
 
 
 @contextlib.contextmanager

@@ -55,27 +55,19 @@ def _read_rows(path):
     return rows[0], rows[1:]
 
 
+def _cell_error(path, problem, row, col):
+    return ParseError(f"{path}: {problem} at row {row}, column {col}", row=row, column=col)
+
+
 def _parse_float(value, path, row, col):
     if value is None or value.strip() == "":
-        raise ParseError(
-            f"{path}: missing value at row {row}, column {col}",
-            row=row,
-            column=col,
-        )
+        raise _cell_error(path, "missing value", row, col)
     try:
         number = float(value)
     except ValueError as exc:
-        raise ParseError(
-            f"{path}: cannot parse {value!r} at row {row}, column {col}",
-            row=row,
-            column=col,
-        ) from exc
+        raise _cell_error(path, f"cannot parse {value!r}", row, col) from exc
     if not math.isfinite(number):
-        raise ParseError(
-            f"{path}: non-finite value {value!r} at row {row}, column {col}",
-            row=row,
-            column=col,
-        )
+        raise _cell_error(path, f"non-finite value {value!r}", row, col)
     return number
 
 

@@ -41,14 +41,14 @@ of rows to a block of statistics and is one of two kinds:
   (bootstrap).
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
-each block from one counter-based stream keyed by ``(seed, *stream_path,
-block)``, so replicate r is the same row whatever the number of replicates.
-A row whose binomial refit fails (separation, non-convergence, a singular
-system) is redrawn, at most ``MAX_REPLICATE_RETRIES`` times; attempt a of
-replicate b draws from the stream ``(seed, *stream_path, b, a)``, whose key
-is longer than a block's. Test hooks replace the draws with fixed rows: the
-base row (``force_identity``) or all of its permutations (``exhaustive``).
-A fixed row is never redrawn, so its failed refit raises at once.
+each block from one counter-based stream in the resampling lane of
+``rng`` (whose docstring lays out every key), so replicate r is the same
+row whatever the number of replicates. A row whose binomial refit fails
+(separation, non-convergence, a singular system) is redrawn, at most
+``MAX_REPLICATE_RETRIES`` times, each attempt from its own stream. Test
+hooks replace the draws with fixed rows: the base row (``force_identity``)
+or all of its permutations (``exhaustive``). A fixed row is never redrawn,
+so its failed refit raises at once.
 """
 
 import enum
@@ -67,7 +67,7 @@ from .errors import (
     ReplicateFailureError,
 )
 from .glm import Family, batch_solve, binomial_irls, fit_null
-from .rng import substream
+from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
 from .score import DEGENERATE_TOL, degenerate, score_denominators, two_sided_p
 
 __all__ = [
@@ -231,12 +231,10 @@ def exchangeable_transform(scheme, fit, dataset):
         root_var = np.sqrt(fit.variance_diag)
         y_t = fit.residuals / root_var
         x_t = (root_var[:, None] * x_g) / denom
-    elif scheme is ResamplingScheme.FULL_MODEL_RESIDUALS:
+    else:  # FULL_MODEL_RESIDUALS
         full = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g]))
         y_t = full.residuals
         x_t = x_g / denom
-    else:  # pragma: no cover - exhaustive over enum
-        raise ConfigError(f"unknown scheme {scheme!r}")
     return Transform(y_tilde=y_t, x_tilde=x_t)
 
 
@@ -336,12 +334,13 @@ def _statistics(kernel, seed, path, b, fixed=None):
     """Yield the (rows, m) statistics of replicates 0..b-1, block by block
     in replicate order.
 
-    Block j's rows are drawn from the stream ``substream(seed, *path, j)``,
-    or, given a ``fixed`` (b, length) index array, gathered from
-    ``kernel.base``. Attempt a to redraw a drawn replicate r whose refit
-    failed draws one row from ``substream(seed, *path, r, a)``. A fixed row
-    is never redrawn, so its failed refit raises at once.
+    ``path`` names the dataset; block j and each attempt to redraw a failed
+    replicate draw from their own stream in its resampling lane (``rng``
+    lays out the keys). Given a ``fixed`` (b, length) index array the rows
+    are gathered from ``kernel.base``, and a fixed row is never redrawn, so
+    its failed refit raises at once.
     """
+    path = (*path, RESAMPLING_LANE)
     for lo in range(0, b, _CHUNK):
         hi = min(lo + _CHUNK, b)
         if fixed is None:
@@ -377,12 +376,12 @@ def replicate_statistics(
 ):
     """Generate the maxT null distribution for ``scheme``.
 
-    ``b`` replicates are drawn in blocks of ``_CHUNK``, each from the stream
-    ``(seed, *stream_path, block)``, and retries from
-    ``(seed, *stream_path, replicate, attempt)``; the blocks run serially in
-    replicate order. ``exhaustive`` enumerates all permutations (tiny
-    problems only; ``b`` is ignored) and ``force_identity`` replaces every
-    draw with the identity permutation/resample; both are test hooks.
+    ``b`` replicates are drawn in blocks of ``_CHUNK`` from the resampling
+    lane of the dataset that ``stream_path`` names (``rng`` lays out the
+    keys); the blocks run serially in replicate order. ``exhaustive``
+    enumerates all permutations (tiny problems only; ``b`` is ignored) and
+    ``force_identity`` replaces every draw with the identity
+    permutation/resample; both are test hooks.
     """
     fixed = None
     length = scheme.permuted_length(dataset.n, dataset.d)
@@ -490,14 +489,9 @@ def maxt_cutoff(dist, alpha):
 
 def _binomial_log_pmf(b, q):
     k = np.arange(b + 1)
-    log_pmf = (
-        math.lgamma(b + 1)
-        - np.array([math.lgamma(v + 1) for v in k])
-        - np.array([math.lgamma(b - v + 1) for v in k])
-        + k * math.log(q)
-        + (b - k) * math.log1p(-q)
-    )
-    return log_pmf
+    log_factorial = np.array([math.lgamma(v + 1) for v in k])
+    log_choose = log_factorial[b] - log_factorial - log_factorial[::-1]
+    return log_choose + k * math.log(q) + (b - k) * math.log1p(-q)
 
 
 def cutoff_ci(dist, q, conf):
@@ -516,17 +510,12 @@ def cutoff_ci(dist, q, conf):
     b = dist.b
     stats = dist.max_stats
     center = math.ceil(b * q)
-    pmf = np.exp(_binomial_log_pmf(b, q))
-    cdf = np.cumsum(pmf)
-
-    def coverage(r, s):
-        # P(r <= W <= s) with W ~ Binomial(b, q); cdf is 0-indexed by count.
-        return cdf[s] - (cdf[r - 1] if r >= 1 else 0.0)
-
+    cdf = np.cumsum(np.exp(_binomial_log_pmf(b, q)))  # 0-indexed by count
     for delta in range(b + 1):
         r = max(center - delta, 1)
         s = min(center + delta, b)
-        if coverage(r, s) >= conf:
+        # P(r <= W <= s) with W ~ Binomial(b, q).
+        if cdf[s] - cdf[r - 1] >= conf:
             return float(stats[r - 1]), float(stats[s - 1])
         if r == 1 and s == b:
             break
@@ -546,6 +535,12 @@ def bonferroni_sidak(m, alpha):
     return alpha / m, 1.0 - (1.0 - alpha) ** (1.0 / m)
 
 
+def check_mc_draws(draws):
+    """Raise unless ``draws`` is at least 2; callers check before resampling."""
+    if draws < 2:
+        raise ConfigError("need at least two Monte Carlo draws")
+
+
 def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
     """Monte Carlo local level under a multivariate normal score vector.
 
@@ -553,13 +548,12 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
     root of ``R``, estimates the cutoff as the empirical (1 - alpha)
     quantile of the maximal absolute component and returns
     2 * Phi(-cutoff) with a standard error from MC_BOOTSTRAPS bootstrap
-    resamples of the draws.
+    resamples of the draws. Both draw from the Monte Carlo lane of ``seed``.
     """
     r = np.asarray(getattr(correlation, "r", correlation), dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ConfigError("correlation must be a square matrix")
-    if draws < 2:
-        raise ConfigError("need at least two Monte Carlo draws")
+    check_mc_draws(draws)
     eigenvalues, eigenvectors = np.linalg.eigh(r)
     if eigenvalues.min() < -1e-8:
         raise InvalidCorrelationError(
@@ -567,7 +561,7 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
         )
     factor = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ eigenvectors.T
     m = r.shape[0]
-    gen = substream(seed, 0)
+    gen = substream(seed, MONTE_CARLO_LANE, 0)
     max_abs = np.empty(draws)
     block = max(1, min(draws, 65536 // max(m, 1) * 16))
     for lo in range(0, draws, block):
@@ -576,7 +570,7 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
         max_abs[lo:hi] = np.max(np.abs(z @ factor), axis=1)
     c = float(np.quantile(max_abs, 1.0 - alpha))
     alpha_loc = two_sided_p(c)
-    boot_gen = substream(seed, 1)
+    boot_gen = substream(seed, MONTE_CARLO_LANE, 1)
     boot = np.empty(MC_BOOTSTRAPS)
     for i in range(MC_BOOTSTRAPS):
         idx = boot_gen.integers(0, draws, size=draws)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .glm import Dataset, Family, expit
-from .rng import substream
+from .rng import COVARIATE_LANE, GENOTYPE_LANE, MAF_LANE, PHENOTYPE_LANE, substream
 
 __all__ = [
     "SimulationConfig",
@@ -33,12 +33,6 @@ __all__ = [
     "simulate_phenotype",
     "simulate_dataset",
 ]
-
-# Stream lanes within a dataset's seed path.
-_LANE_MAF = 0
-_LANE_COVARIATE = 1
-_LANE_GENOTYPE = 2
-_LANE_PHENOTYPE = 3
 
 MONOMORPHIC_RETRIES = 100
 
@@ -58,13 +52,27 @@ class SimulationConfig:
     def __post_init__(self):
         if not isinstance(self.family, Family):
             raise ConfigError(f"family must be a Family, got {self.family!r}")
-        if self.n < 3 or self.m < 1:
-            raise ConfigError("need n >= 3 individuals and m >= 1 markers")
+        check_integers(self, n=3, m=1, seed=0)
+        if not isinstance(self.maf_range, tuple) or len(self.maf_range) != 2:
+            raise ConfigError(f"maf_range must be a 2-tuple, got {self.maf_range!r}")
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("latent correlation rho must lie in [0, 1)")
         low, high = self.maf_range
         if not 0.0 < low <= high <= 0.5:
             raise ConfigError("maf_range must satisfy 0 < low <= high <= 0.5")
+
+
+def check_integers(config, **minimums):
+    """Store each named field of the frozen ``config`` as an int; a value
+    that is not a Python or numpy integer, or is below the field's minimum,
+    is a ConfigError."""
+    for name, low in minimums.items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise ConfigError(f"{name} must be >= {low}, got {value}")
+        object.__setattr__(config, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -106,13 +114,13 @@ def simulate_genotypes(config, *, stream_path=()):
     of that MAF. Datasets with a monomorphic marker column are redrawn (same
     MAF) up to MONOMORPHIC_RETRIES times before giving up.
     """
-    maf = substream(config.seed, *stream_path, _LANE_MAF).uniform(
+    maf = substream(config.seed, *stream_path, MAF_LANE).uniform(
         config.maf_range[0], config.maf_range[1], size=config.m
     )
     root = correlation_factor(config.m, config.rho)
     threshold = np.array([NormalDist().inv_cdf(p) for p in maf])
     for attempt in range(MONOMORPHIC_RETRIES):
-        gen = substream(config.seed, *stream_path, _LANE_GENOTYPE, attempt)
+        gen = substream(config.seed, *stream_path, GENOTYPE_LANE, attempt)
         copy_one = _draw_alleles(gen, config.n, root, threshold)
         copy_two = _draw_alleles(gen, config.n, root, threshold)
         genotypes = (copy_one.astype(np.int8) + copy_two.astype(np.int8)).astype(float)
@@ -126,7 +134,7 @@ def simulate_genotypes(config, *, stream_path=()):
 
 def simulate_phenotype(config, x_e, *, stream_path=()):
     """Phenotype under the complete null given the covariate column ``x_e``."""
-    gen = substream(config.seed, *stream_path, _LANE_PHENOTYPE)
+    gen = substream(config.seed, *stream_path, PHENOTYPE_LANE)
     linear = config.beta_e * x_e
     if config.family is Family.NORMAL:
         return linear + gen.standard_normal(config.n)
@@ -136,13 +144,11 @@ def simulate_phenotype(config, x_e, *, stream_path=()):
 def simulate_dataset(config, *, stream_path=()):
     """Simulate one full dataset: covariate, genotypes and phenotype.
 
-    ``stream_path`` isolates the dataset inside a larger experiment (study
-    harnesses pass the dataset index); identical (seed, stream_path) always
-    reproduce the dataset bitwise.
+    ``stream_path`` names the dataset inside a larger experiment (see
+    ``rng``); identical (seed, stream_path) always reproduce it bitwise.
     """
-    covariate = substream(config.seed, *stream_path, _LANE_COVARIATE).standard_normal(
-        config.n
-    )
+    gen = substream(config.seed, *stream_path, COVARIATE_LANE)
+    covariate = gen.standard_normal(config.n)
     genotypes, maf = simulate_genotypes(config, stream_path=stream_path)
     y = simulate_phenotype(config, covariate, stream_path=stream_path)
     x_e = np.column_stack([np.ones(config.n), covariate])

@@ -8,8 +8,8 @@ error estimates
 
 into the rejection proportion alpha_tilde = #(alpha_hat_k <= alpha) / K with
 a 1.96-sigma Wald interval. Dataset k draws all of its randomness from
-streams keyed by (master_seed, k, ...), so results are reproducible for any
-worker count and insensitive to completion order.
+streams keyed by (master_seed, k, lane, ...) as ``rng`` lays out, so results
+are reproducible for any worker count and insensitive to completion order.
 """
 
 import ctypes
@@ -30,13 +30,14 @@ from .glm import fit_null
 from .resampling import (
     ResamplingScheme,
     check_cutoff_request,
+    check_mc_draws,
     maxt_cutoff,
     mc_mvn_alpha_loc,
     per_dataset_fwer,
     replicate_statistics,
 )
 from .score import score_correlation, score_statistics
-from .simulate import SimulationConfig, simulate_dataset
+from .simulate import SimulationConfig, check_integers, simulate_dataset
 
 __all__ = [
     "StudyConfig",
@@ -48,10 +49,6 @@ __all__ = [
     "alpha_loc_study",
     "table_rows",
 ]
-
-# Stream lane for resampling replicates, disjoint from the lanes the
-# simulator reserves for MAF/covariate/genotype/phenotype draws.
-RESAMPLING_LANE = 4
 
 WALD_Z = 1.96
 
@@ -75,9 +72,13 @@ class StudyConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "schemes", tuple(self.schemes))
-        if self.k < 1 or self.b < 1:
-            raise ConfigError("need k >= 1 datasets and b >= 1 replicates")
+        if not isinstance(self.sim, SimulationConfig):
+            raise ConfigError(f"sim must be a SimulationConfig, got {self.sim!r}")
+        try:
+            object.__setattr__(self, "schemes", tuple(self.schemes))
+        except TypeError:
+            raise ConfigError(f"schemes must be iterable, got {self.schemes!r}") from None
+        check_integers(self, k=1, b=1, workers=1, master_seed=0)
         if not self.schemes:
             raise ConfigError("at least one resampling scheme is required")
         for scheme in self.schemes:
@@ -85,8 +86,6 @@ class StudyConfig:
                 raise ConfigError(f"scheme must be a ResamplingScheme, got {scheme!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be in (0, 1)")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -205,12 +204,7 @@ def _dataset_alpha_hats(config, k):
             for scheme in config.schemes:
                 start = time.perf_counter()
                 dist = replicate_statistics(
-                    scheme,
-                    fit,
-                    dataset,
-                    config.b,
-                    config.master_seed,
-                    stream_path=(k, RESAMPLING_LANE),
+                    scheme, fit, dataset, config.b, config.master_seed, stream_path=(k,)
                 )
                 alpha_hats[scheme] = per_dataset_fwer(dist, observed)
                 seconds[scheme] = time.perf_counter() - start
@@ -287,13 +281,13 @@ def alpha_loc_study(sim, scheme, b, alpha=0.05, *, mc_draws=0, mc_seed=1):
     Carlo estimator as an independent cross-check.
     """
     check_cutoff_request(b, alpha)
+    if mc_draws:
+        check_mc_draws(mc_draws)
     simulated = simulate_dataset(sim)
     dataset = simulated.dataset
     fit = fit_null(sim.family, dataset.y, dataset.x_e)
     observed = score_statistics(fit, dataset.x_g)
-    dist = replicate_statistics(
-        scheme, fit, dataset, b, sim.seed, stream_path=(RESAMPLING_LANE,)
-    )
+    dist = replicate_statistics(scheme, fit, dataset, b, sim.seed)
     cutoff = maxt_cutoff(dist, alpha)
     mc_check = None
     if mc_draws:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: ingestion, subcommands, exit codes."""
 
 import argparse
+import csv
 import json
 
 import numpy as np
@@ -12,7 +13,7 @@ from permscan import Family, SimulationConfig, simulate_dataset
 from permscan import cli
 from permscan.cli import build_parser, main
 from permscan.errors import PermscanError
-from permscan.io import ingest, write_dataset
+from permscan.io import ingest, write_dataset, write_genotypes
 
 
 def _simulate_files(tmp_path, family=Family.NORMAL, n=60, m=4, seed=5, beta_e=0.4):
@@ -93,6 +94,31 @@ class TestScan:
             assert marker["rejected"] == (abs(marker["t"]) >= cutoff)
             assert 0.0 < marker["p_value"] <= 1.0
             assert_allclose(marker["p_value"], 2 * ndtr(-abs(marker["t"])), rtol=1e-10)
+
+    @staticmethod
+    def _marker_lines(path):
+        return [line for line in path.read_text().splitlines(True) if line[0] != "#"]
+
+    def test_csv_report_round_trips_marker_names_with_commas(self, tmp_path):
+        dataset, paths = _simulate_files(tmp_path, m=2)
+        write_genotypes(paths[2], dataset.x_g, names=["rs1,a", "g2"])
+        out = tmp_path / "report.csv"
+        assert main(_scan_args(paths, out)) == 0
+        rows = list(csv.reader(self._marker_lines(out)))
+        assert rows[0] == ["marker", "t", "p_value", "rejected"]
+        assert [row[0] for row in rows[1:]] == ["rs1,a", "g2"]
+        assert all(len(row) == 4 for row in rows)
+
+    def test_csv_report_rows_of_plain_names_are_unquoted(self, tmp_path):
+        _, paths = _simulate_files(tmp_path)
+        assert main(_scan_args(paths, tmp_path / "r.csv")) == 0
+        assert main(_scan_args(paths, tmp_path / "r.json", fmt="json")) == 0
+        markers = json.loads((tmp_path / "r.json").read_text())["markers"]
+        expected = ["marker,t,p_value,rejected\n"] + [
+            f"{m['name']},{m['t']!r},{m['p_value']!r},{int(m['rejected'])}\n"
+            for m in markers
+        ]
+        assert self._marker_lines(tmp_path / "r.csv") == expected
 
     def test_single_marker_local_level_near_alpha(self, tmp_path):
         _, paths = _simulate_files(tmp_path, m=1, n=200, seed=9)

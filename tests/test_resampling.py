@@ -35,7 +35,7 @@ from permscan import (
 )
 from permscan import resampling
 from permscan.glm import Dataset, NullModelFit
-from permscan.rng import substream
+from permscan.rng import RESAMPLING_LANE, substream
 
 TRANSFORM_SCHEMES = [
     ResamplingScheme.FREEDMAN_LANE,
@@ -277,7 +277,7 @@ class TestReplicateStatistics:
             ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset, b, 5, stream_path=(4,)
         )
         blocks = math.ceil(b / resampling._CHUNK)
-        assert keys == [(4, j) for j in range(blocks)]
+        assert keys == [(4, RESAMPLING_LANE, j) for j in range(blocks)]
 
     def test_replicate_failure_reports_index(self):
         # A fitted null with fitted probabilities ~1e-4 makes bootstrap
@@ -657,8 +657,10 @@ class TestKernelReferences:
             r = _ols_residuals(x_e, v)
             return r, r @ r / (n - d)
 
-        permuted = substream(seed, 3, 0).permuted(np.tile(y, (b, 1)), axis=1)
-        noise = substream(seed, 3, 0).standard_normal((b, n))
+        permuted = substream(seed, 3, RESAMPLING_LANE, 0).permuted(
+            np.tile(y, (b, 1)), axis=1
+        )
+        noise = substream(seed, 3, RESAMPLING_LANE, 0).standard_normal((b, n))
         raw, boot = np.empty(b), np.empty(b)
         for rep in range(b):
             r, _ = refit(permuted[rep])
@@ -689,8 +691,8 @@ class TestKernelReferences:
     ):
         # With an intercept-only design and small n, some Bernoulli draws
         # are all 0 or all 1 and separate; retry a of such a replicate draws
-        # from the stream (seed, replicate, a). A non-constant draw has the
-        # closed-form score
+        # from the stream (seed, RESAMPLING_LANE, replicate, a). A
+        # non-constant draw has the closed-form score
         # t_j = x_j'(y - p) / sqrt(p (1 - p) sum_i (x_ij - mean_j)^2).
         rng = np.random.default_rng(data_seed)
         ones = min(max(round(frac * n), 1), n - 1)
@@ -699,13 +701,14 @@ class TestKernelReferences:
         dataset = Dataset(y=y, x_e=np.ones((n, 1)), x_g=x_g)
         fit = fit_null(Family.BINOMIAL, y, dataset.x_e)
         centered_sq = np.sum((x_g - x_g.mean(axis=0)) ** 2, axis=0)
-        block = (substream(seed, 0).random((b, n)) < fit.mu_e).astype(float)
+        uniform = substream(seed, RESAMPLING_LANE, 0).random((b, n))
+        block = (uniform < fit.mu_e).astype(float)
         reference = np.empty(b)
         for rep in range(b):
             draw, attempt = block[rep], 0
             while draw.min() == draw.max():
                 attempt += 1
-                uniform = substream(seed, rep, attempt).random(n)
+                uniform = substream(seed, RESAMPLING_LANE, rep, attempt).random(n)
                 draw = (uniform < fit.mu_e).astype(float)
             p = draw.mean()
             t = x_g.T @ (draw - p) / np.sqrt(p * (1.0 - p) * centered_sq)

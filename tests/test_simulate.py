@@ -266,6 +266,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(n=10, m=0, family=Family.NORMAL)
 
+    @pytest.mark.parametrize("field", ["n", "m", "seed"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, "10", True, None])
+    def test_rejects_sizes_and_seeds_that_are_not_integers(self, field, value):
+        fields = {"n": 10, "m": 2, "seed": 0, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            SimulationConfig(family=Family.NORMAL, **fields)
+
+    def test_rejects_a_negative_seed(self):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            SimulationConfig(n=10, m=2, family=Family.NORMAL, seed=-1)
+
+    @pytest.mark.parametrize("maf_range", [0.1, (0.1,), (0.05, 0.2, 0.3), [0.1, 0.2]])
+    def test_rejects_a_maf_range_that_is_not_a_pair(self, maf_range):
+        with pytest.raises(ConfigError, match="maf_range must be a 2-tuple"):
+            SimulationConfig(n=10, m=2, family=Family.NORMAL, maf_range=maf_range)
+
     @pytest.mark.parametrize("family", ["normal", "binomial", None])
     def test_rejects_a_family_that_is_not_a_family(self, family):
         with pytest.raises(ConfigError, match="family must be a Family"):

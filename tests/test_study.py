@@ -177,6 +177,68 @@ class TestRunStudy:
         with pytest.raises(ConfigError, match="scheme must be a ResamplingScheme"):
             StudyConfig(sim=sim, schemes=schemes, k=1, b=1)
 
+    def test_rejects_a_sim_that_is_not_a_simulation_config(self):
+        with pytest.raises(ConfigError, match="sim must be a SimulationConfig"):
+            StudyConfig(sim="x", schemes=(ResamplingScheme.RAW_Y,), k=1, b=1)
+
+    def test_rejects_a_bare_scheme(self):
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(ConfigError, match="schemes must be iterable"):
+            StudyConfig(sim=sim, schemes=ResamplingScheme.RAW_Y, k=1, b=1)
+
+    @pytest.mark.parametrize("field", ["k", "b", "workers", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
+    def test_rejects_counts_and_seeds_that_are_not_integers(self, field, value):
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        fields = {"k": 2, "b": 2, "workers": 1, "master_seed": 0, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            StudyConfig(sim=sim, schemes=(ResamplingScheme.RAW_Y,), **fields)
+
+    @pytest.mark.parametrize("field, value", [("k", 0), ("b", -2), ("master_seed", -1)])
+    def test_rejects_counts_and_seeds_below_their_minimum(self, field, value):
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        fields = {"k": 2, "b": 2, field: value}
+        with pytest.raises(ConfigError, match=f"{field} must be >= "):
+            StudyConfig(sim=sim, schemes=(ResamplingScheme.RAW_Y,), **fields)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        def config(integer):
+            sim = SimulationConfig(
+                n=integer(30), m=integer(3), family=Family.NORMAL, seed=integer(1)
+            )
+            return StudyConfig(
+                sim=sim,
+                schemes=(ResamplingScheme.RAW_Y,),
+                k=integer(2),
+                b=integer(9),
+                workers=integer(1),
+                master_seed=integer(5),
+            )
+
+        numpy, python = (run_study(config(kind)) for kind in (np.int64, int))
+        values = [numpy.config.sim.n, numpy.config.sim.m, numpy.config.sim.seed]
+        values += [numpy.config.k, numpy.config.b, numpy.config.workers]
+        assert all(type(value) is int for value in values + [numpy.config.master_seed])
+        assert numpy.config_hash == python.config_hash
+        raw_y = ResamplingScheme.RAW_Y
+        assert np.array_equal(
+            numpy.per_scheme[raw_y].alpha_hat, python.per_scheme[raw_y].alpha_hat
+        )
+
+    @pytest.mark.parametrize("mc_draws", [1, -3])
+    def test_alpha_loc_study_checks_mc_draws_before_resampling(
+        self, monkeypatch, mc_draws
+    ):
+        def replicate_statistics(*args, **kwargs):
+            pytest.fail("resampled before checking the Monte Carlo draw count")
+
+        monkeypatch.setattr(study, "replicate_statistics", replicate_statistics)
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(ConfigError, match="need at least two Monte Carlo draws"):
+            alpha_loc_study(
+                sim, ResamplingScheme.FREEDMAN_LANE, b=20_000, mc_draws=mc_draws
+            )
+
     @pytest.mark.parametrize("alpha, b", [(1.5, 100_000), (0.99, 50)])
     def test_alpha_loc_study_checks_alpha_before_resampling(self, monkeypatch, alpha, b):
         def replicate_statistics(*args, **kwargs):
