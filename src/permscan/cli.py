@@ -35,6 +35,7 @@ from .errors import (
     ParseError,
     PermscanError,
     ResamplingError,
+    check_integer,
 )
 from .glm import Family, fit_null
 from .io import (
@@ -122,6 +123,7 @@ def run_scan(
 ):
     """Ingest the CSV files, run the scheme and build a ScanReport."""
     check_cutoff_request(b, alpha)
+    check_integer("seed", seed, 0)
     dataset, marker_names = ingest(phenotype, genotypes, covariates)
     if family is Family.BINOMIAL:
         bad = np.flatnonzero((dataset.y != 0.0) & (dataset.y != 1.0))

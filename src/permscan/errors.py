@@ -3,7 +3,12 @@
 The CLI maps these onto distinct exit codes: parse failures (2), model
 fitting failures (3), resampling failures (4) and configuration problems
 (5). Library callers can catch :class:`PermscanError` to get everything.
+``check_integer`` and ``check_real`` word every ConfigError about a bad number.
 """
+
+import math
+
+import numpy as np
 
 
 class PermscanError(Exception):
@@ -74,3 +79,21 @@ class SizeLimitError(ConfigError):
 
 class InvalidCorrelationError(ConfigError):
     """A correlation matrix is not positive semidefinite within tolerance."""
+
+
+def check_integer(name, value, low):
+    """``value`` as an int; a ConfigError unless it is a Python or numpy
+    integer (not a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_real(name, value):
+    """A ConfigError unless ``value`` is a finite Python or numpy real (not
+    a bool). The value is not converted, so callers store it as given."""
+    real = (int, float, np.integer, np.floating)
+    if isinstance(value, bool) or not isinstance(value, real) or not math.isfinite(value):
+        raise ConfigError(f"{name} must be a finite real number, got {value!r}")

@@ -4,56 +4,56 @@ Six ways to generate the null distribution of the maximal absolute score
 statistic:
 
 * ``RAW_Y`` permutes the raw response, refits the null mean on every
-  permuted response and recomputes the score numerators against the
-  original denominators. Exact when the response itself is exchangeable;
-  increasingly conservative as the covariate effect grows, because the
-  permuted numerator carries the full marginal response variance against
-  denominators calibrated to the conditional one.
-* ``FREEDMAN_LANE`` permutes the residual projection of the response
-  (reduced-model residual permutation).
+  permuted response and keeps the observed denominators. Exact when the
+  response itself is exchangeable; increasingly conservative as the
+  covariate effect grows, since the permuted numerator carries the marginal
+  response variance against denominators calibrated to the conditional one.
+* ``FREEDMAN_LANE`` permutes the reduced-model residuals of the response.
 * ``MODIFIED_MODEL`` maps the response into the (n - d)-dimensional residual
-  space through an orthonormal basis and permutes there, which makes the
-  transformed response second-moment exchangeable.
+  space through an orthonormal basis and permutes there, which makes it
+  second-moment exchangeable.
 * ``FULL_MODEL_RESIDUALS`` permutes the residuals of the model that includes
   the markers (ter Braak style, permutation under the alternative).
-* ``STANDARDIZED_RESIDUALS`` scales the null residuals by the inverse square
-  root of the estimated response variance and rescales the markers to match;
-  this is the scheme intended for non-normal families and coincides with
-  Freedman-Lane for the normal family.
+* ``STANDARDIZED_RESIDUALS`` scales the null residuals by the inverse root
+  of the estimated response variance and rescales the markers to match: the
+  scheme for non-normal families, equal to Freedman-Lane for the normal one.
 * ``PARAMETRIC_BOOTSTRAP`` draws new responses from the fitted null
-  distribution and refits the model (denominators included) on every
-  replicate.
+  distribution and refits everything, denominators included, per replicate.
 
-Every scheme is one *row source* feeding one *evaluator*. The row source
-draws a replicate row: a permutation of a fixed base vector (the four
-transform schemes and raw-y), N(0, I) noise (normal bootstrap) or
-Bernoulli(mu_e) responses (binomial bootstrap). The evaluator maps a block
-of rows to a block of statistics and is one of two kinds:
+Every scheme is one *row source* feeding one *evaluator*. A replicate row is
+a permutation of a fixed base vector (the four transform schemes and raw-y),
+gathered from a block of permutation indices, or a bootstrap draw: N(0, I)
+noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator maps a
+block of rows to a block of statistics and is one of two kinds:
 
-* a fixed linear map. For the transform schemes it is ``x_tilde``, with the
+* a fixed linear map: ``x_tilde`` for the transform schemes, with the
   per-dataset denominators computed once. Refitting a permuted normal
-  response is a projection, so normal raw-y is the map (I - H) x_g / denom.
-  The normal bootstrap statistic depends on neither mu_e nor phi_hat: it is
+  response is a projection, so normal raw-y is (I - H) x_g / denom. The
+  normal bootstrap statistic depends on neither mu_e nor phi_hat: it is
   z (I - H) x_g / unit_denom with each row divided by its residual standard
   error ||(I - H) z|| / sqrt(n - d);
 * a binomial refit by batch IRLS: of the mean only against the observed
-  denominators (raw-y), or of the mean, variance weights and denominators
-  (bootstrap).
+  denominators (raw-y), or of the mean, weights and denominators (bootstrap).
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
-each block from one counter-based stream in the resampling lane of
-``rng`` (whose docstring lays out every key), so replicate r is the same
-row whatever the number of replicates. A row whose binomial refit fails
+each block from one counter-based stream in the resampling lane of ``rng``
+(whose docstring lays out every key), so replicate r is the same row
+whatever the number of replicates. Permutation indices depend only on the
+stream and the length, so inside ``shared_permutations`` (a study's scheme
+loop over one dataset) each index block is drawn once and shared by every
+permuting scheme of that length. A row whose binomial refit fails
 (separation, non-convergence, a singular system) is redrawn, at most
 ``MAX_REPLICATE_RETRIES`` times, each attempt from its own stream. Test
-hooks replace the draws with fixed rows: the base row (``force_identity``)
-or all of its permutations (``exhaustive``). A fixed row is never redrawn,
-so its failed refit raises at once.
+hooks replace the draws with fixed index rows: the identity
+(``force_identity``) or every permutation (``exhaustive``). A fixed row is
+never redrawn, so its failed refit raises at once.
 """
 
 import enum
 import math
 import warnings
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from typing import Callable, NamedTuple
@@ -65,6 +65,7 @@ from .errors import (
     InsufficientReplicatesError,
     InvalidCorrelationError,
     ReplicateFailureError,
+    check_integer,
 )
 from .glm import Family, batch_solve, binomial_irls, fit_null
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
@@ -112,9 +113,7 @@ class ResamplingScheme(enum.Enum):
 
     def permuted_length(self, n, d):
         """Length of the vector the scheme permutes."""
-        if self is ResamplingScheme.MODIFIED_MODEL:
-            return n - d
-        return n
+        return n - d if self is ResamplingScheme.MODIFIED_MODEL else n
 
 
 # Schemes whose exchangeability argument assumes the normal linear model.
@@ -183,17 +182,6 @@ class McAlphaLoc(NamedTuple):
     c: float
 
 
-def _warn_family_mismatch(scheme, fit):
-    if fit.family is not Family.NORMAL and scheme in _NORMAL_THEORY_SCHEMES:
-        warnings.warn(
-            f"scheme {scheme.value!r} relies on normal linear-model residual "
-            "theory; the standardized-residuals scheme is the intended "
-            "analogue for this family",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def exchangeable_transform(scheme, fit, dataset):
     """Build the (y_tilde, x_tilde) pair whose permutations reproduce the
     scheme's replicate statistics with fixed denominators.
@@ -217,44 +205,75 @@ def exchangeable_transform(scheme, fit, dataset):
             "scheme 'modified-model' permutes in the (n - d)-dimensional "
             f"residual space and needs n - d >= 2; got n={n}, d={d}"
         )
-    _warn_family_mismatch(scheme, fit)
+    if fit.family is not Family.NORMAL and scheme in _NORMAL_THEORY_SCHEMES:
+        warnings.warn(
+            f"scheme {scheme.value!r} relies on normal linear-model residual "
+            "theory; the standardized-residuals scheme is the intended "
+            "analogue for this family",
+            UserWarning,
+            stacklevel=2,
+        )
     denom = score_denominators(fit, dataset.x_g)
     x_g = dataset.x_g
     if scheme is ResamplingScheme.FREEDMAN_LANE:
-        y_t = dataset.y - fit.hat_apply(dataset.y)
-        x_t = x_g / denom
+        y_t, x_t = dataset.y - fit.hat_apply(dataset.y), x_g
     elif scheme is ResamplingScheme.MODIFIED_MODEL:
         q = fit.q_factor()
-        y_t = q.T @ dataset.y
-        x_t = (q.T @ x_g) / denom
+        y_t, x_t = q.T @ dataset.y, q.T @ x_g
     elif scheme is ResamplingScheme.STANDARDIZED_RESIDUALS:
         root_var = np.sqrt(fit.variance_diag)
-        y_t = fit.residuals / root_var
-        x_t = (root_var[:, None] * x_g) / denom
+        y_t, x_t = fit.residuals / root_var, root_var[:, None] * x_g
     else:  # FULL_MODEL_RESIDUALS
         full = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g]))
-        y_t = full.residuals
-        x_t = x_g / denom
-    return Transform(y_tilde=y_t, x_tilde=x_t)
+        y_t, x_t = full.residuals, x_g
+    return Transform(y_tilde=y_t, x_tilde=x_t / denom)
 
 
 class _Kernel(NamedTuple):
-    """A scheme's replicate machinery: ``draw(gen, rows)`` returns a
-    (rows, length) block of replicate rows, ``base`` is the identity
-    replicate's row, and ``evaluate(block)`` maps a block to its (rows, m)
-    statistics and a mask of the rows whose refit succeeded."""
+    """A scheme's replicate machinery: ``base`` is the identity replicate's
+    row, ``draw(gen, rows)`` returns a (rows, length) block of bootstrap
+    rows, or is None when the rows are permutations of ``base``, and
+    ``evaluate(block)`` maps a block to its (rows, m) statistics and a mask
+    of the rows whose refit succeeded."""
 
     base: np.ndarray
-    draw: Callable
+    draw: Callable | None
     evaluate: Callable
 
 
-def _permuting(base, evaluate):
-    def draw(gen, rows):
-        block = np.tile(base, (rows, 1))
-        return gen.permuted(block, axis=1, out=block)
+# Permutation index blocks keyed by (seed, *path, block, rows, length), which
+# alone determine them; None outside ``shared_permutations``.
+_shared_blocks = ContextVar("_shared_blocks", default=None)
 
-    return _Kernel(base, draw, evaluate)
+
+@contextmanager
+def shared_permutations():
+    """Within the block, a permutation block drawn for one scheme is reused
+    by every later scheme that permutes a vector of the same length from the
+    same stream. ``Generator.permuted`` moves positions without reading
+    values, so the replicates are the ones each scheme would draw alone."""
+    token = _shared_blocks.set({})
+    try:
+        yield
+    finally:
+        _shared_blocks.reset(token)
+
+
+def _draw(kernel, rows, seed, *path, share=False):
+    """``rows`` replicate rows from the stream ``(seed, *path)``. A permuting
+    kernel gathers them from a block of intp permutation indices; with
+    ``share`` inside ``shared_permutations`` that block is drawn once per
+    stream, size and length."""
+    if kernel.draw is not None:
+        return kernel.draw(substream(seed, *path), rows)
+    length = len(kernel.base)
+    shared = _shared_blocks.get() if share else None
+    blocks = {} if shared is None else shared
+    key = (seed, *path, rows, length)
+    if key not in blocks:
+        index = np.tile(np.arange(length, dtype=np.intp), (rows, 1))
+        blocks[key] = substream(seed, *path).permuted(index, axis=1, out=index)
+    return kernel.base[blocks[key]]
 
 
 def _linear(x_map, hat_basis=None):
@@ -307,14 +326,14 @@ def _kernel(scheme, fit, dataset):
     """Base row, draw and evaluator of ``scheme`` on ``dataset``."""
     if not scheme.refits_per_replicate:
         transform = exchangeable_transform(scheme, fit, dataset)
-        return _permuting(transform.y_tilde, _linear(transform.x_tilde))
+        return _Kernel(transform.y_tilde, None, _linear(transform.x_tilde))
     x_g, n = dataset.x_g, dataset.n
     denom = score_denominators(fit, x_g)  # rejects degenerate markers up front
     bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
     if fit.family is Family.NORMAL:
         resid_x = x_g - fit.hat_apply(x_g)
         if not bootstrap:
-            return _permuting(dataset.y, _linear(resid_x / denom))
+            return _Kernel(dataset.y, None, _linear(resid_x / denom))
         unit_denom = np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
         return _Kernel(
             fit.residuals / math.sqrt(fit.phi_hat),
@@ -322,7 +341,7 @@ def _kernel(scheme, fit, dataset):
             _linear(resid_x / unit_denom, fit.hat_basis),
         )
     if not bootstrap:
-        return _permuting(dataset.y, _binomial_refit(fit.x_e, x_g, denom))
+        return _Kernel(dataset.y, None, _binomial_refit(fit.x_e, x_g, denom))
     return _Kernel(
         dataset.y,
         lambda gen, rows: (gen.random((rows, n)) < fit.mu_e).astype(float),
@@ -330,59 +349,16 @@ def _kernel(scheme, fit, dataset):
     )
 
 
-def _statistics(kernel, seed, path, b, fixed=None):
-    """Yield the (rows, m) statistics of replicates 0..b-1, block by block
-    in replicate order.
+def _statistics(scheme, fit, dataset, b, seed, path, exhaustive=False, force_identity=False):
+    """Check the arguments, then yield the (rows, m) statistics of
+    ``scheme``'s replicates 0..b-1 block by block in replicate order.
 
     ``path`` names the dataset; block j and each attempt to redraw a failed
     replicate draw from their own stream in its resampling lane (``rng``
-    lays out the keys). Given a ``fixed`` (b, length) index array the rows
-    are gathered from ``kernel.base``, and a fixed row is never redrawn, so
-    its failed refit raises at once.
+    lays out the keys). Fixed rows (``exhaustive``, ``force_identity``) are
+    never redrawn, so a failed refit of one raises at once.
     """
-    path = (*path, RESAMPLING_LANE)
-    for lo in range(0, b, _CHUNK):
-        hi = min(lo + _CHUNK, b)
-        if fixed is None:
-            rows = kernel.draw(substream(seed, *path, lo // _CHUNK), hi - lo)
-        else:
-            rows = kernel.base[fixed[lo:hi]]
-        stats, ok = kernel.evaluate(rows)
-        failed = np.flatnonzero(~ok)
-        for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
-            if fixed is not None or not failed.size:
-                break
-            gens = (substream(seed, *path, lo + i, attempt) for i in failed)
-            retry_stats, ok = kernel.evaluate(np.vstack([kernel.draw(g, 1) for g in gens]))
-            stats[failed] = retry_stats
-            failed = failed[~ok]
-        if failed.size:
-            r = lo + int(failed[0])
-            how = "to refit" if fixed is not None else f"after {MAX_REPLICATE_RETRIES} retries"
-            raise ReplicateFailureError(f"replicate {r} failed {how}", replicate=r)
-        yield stats
-
-
-def replicate_statistics(
-    scheme,
-    fit,
-    dataset,
-    b,
-    seed,
-    *,
-    stream_path=(),
-    exhaustive=False,
-    force_identity=False,
-):
-    """Generate the maxT null distribution for ``scheme``.
-
-    ``b`` replicates are drawn in blocks of ``_CHUNK`` from the resampling
-    lane of the dataset that ``stream_path`` names (``rng`` lays out the
-    keys); the blocks run serially in replicate order. ``exhaustive``
-    enumerates all permutations (tiny problems only; ``b`` is ignored) and
-    ``force_identity`` replaces every draw with the identity
-    permutation/resample; both are test hooks.
-    """
+    check_integer("seed", seed, 0)
     fixed = None
     length = scheme.permuted_length(dataset.n, dataset.d)
     if exhaustive:
@@ -400,10 +376,44 @@ def replicate_statistics(
     elif force_identity:
         fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
-    maxima = np.concatenate(
-        [np.max(np.abs(s), axis=1) for s in _statistics(kernel, seed, stream_path, b, fixed)]
-    )
-    return MaxTDistribution(np.sort(maxima), b, scheme, seed, exhaustive=exhaustive)
+    path = (*path, RESAMPLING_LANE)
+    for lo in range(0, b, _CHUNK):
+        hi = min(lo + _CHUNK, b)
+        if fixed is None:
+            rows = _draw(kernel, hi - lo, seed, *path, lo // _CHUNK, share=True)
+        else:
+            rows = kernel.base[fixed[lo:hi]]
+        stats, ok = kernel.evaluate(rows)
+        failed = np.flatnonzero(~ok)
+        for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
+            if fixed is not None or not failed.size:
+                break
+            retry = [_draw(kernel, 1, seed, *path, lo + i, attempt) for i in failed]
+            retry_stats, ok = kernel.evaluate(np.vstack(retry))
+            stats[failed] = retry_stats
+            failed = failed[~ok]
+        if failed.size:
+            r = lo + int(failed[0])
+            how = "to refit" if fixed is not None else f"after {MAX_REPLICATE_RETRIES} retries"
+            raise ReplicateFailureError(f"replicate {r} failed {how}", replicate=r)
+        yield stats
+
+
+def replicate_statistics(
+    scheme, fit, dataset, b, seed, *, stream_path=(), exhaustive=False, force_identity=False
+):
+    """Generate the maxT null distribution for ``scheme``.
+
+    ``b`` replicates are drawn in blocks of ``_CHUNK`` from the resampling
+    lane of the dataset that ``stream_path`` names (``rng`` lays out the
+    keys); the blocks run serially in replicate order. ``exhaustive``
+    enumerates all permutations (tiny problems only; ``b`` is ignored) and
+    ``force_identity`` replaces every draw with the identity
+    permutation/resample; both are test hooks.
+    """
+    blocks = _statistics(scheme, fit, dataset, b, seed, stream_path, exhaustive, force_identity)
+    maxima = np.concatenate([np.max(np.abs(s), axis=1) for s in blocks])
+    return MaxTDistribution(np.sort(maxima), len(maxima), scheme, seed, exhaustive=exhaustive)
 
 
 def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
@@ -412,10 +422,7 @@ def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
     Diagnostic helper: the blocks of ``replicate_statistics`` stacked
     without the reduction to maxima, so row r is replicate r.
     """
-    if b < 1:
-        raise ConfigError("need at least one replicate")
-    kernel = _kernel(scheme, fit, dataset)
-    return np.vstack(list(_statistics(kernel, seed, stream_path, b)))
+    return np.vstack(list(_statistics(scheme, fit, dataset, b, seed, stream_path)))
 
 
 def _exceedance(dist, values):
@@ -465,14 +472,9 @@ def maxt_cutoff(dist, alpha):
     quantile_value = float(stats[quantile_index - 1])
 
     satisfies = _exceedance(dist, stats) <= alpha
-    if satisfies.any():
-        eq_index = int(np.argmax(satisfies)) + 1
-        c = float(stats[eq_index - 1])
-        eq_satisfied = True
-    else:
-        eq_index = None
-        c = quantile_value
-        eq_satisfied = False
+    eq_satisfied = bool(satisfies.any())
+    eq_index = int(np.argmax(satisfies)) + 1 if eq_satisfied else None
+    c = float(stats[eq_index - 1]) if eq_satisfied else quantile_value
     ci_low, ci_high = cutoff_ci(dist, 1.0 - alpha, CUTOFF_CONF)
     return CutoffResult(
         c=c,
@@ -511,14 +513,12 @@ def cutoff_ci(dist, q, conf):
     stats = dist.max_stats
     center = math.ceil(b * q)
     cdf = np.cumsum(np.exp(_binomial_log_pmf(b, q)))  # 0-indexed by count
-    for delta in range(b + 1):
+    for delta in range(max(center, b - center) + 1):  # the last is [1, b]
         r = max(center - delta, 1)
         s = min(center + delta, b)
         # P(r <= W <= s) with W ~ Binomial(b, q).
         if cdf[s] - cdf[r - 1] >= conf:
             return float(stats[r - 1]), float(stats[s - 1])
-        if r == 1 and s == b:
-            break
     warnings.warn(
         "order-statistic interval could not reach the requested confidence; "
         "returning the full sample range",
@@ -550,6 +550,7 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
     2 * Phi(-cutoff) with a standard error from MC_BOOTSTRAPS bootstrap
     resamples of the draws. Both draw from the Monte Carlo lane of ``seed``.
     """
+    check_integer("seed", seed, 0)
     r = np.asarray(getattr(correlation, "r", correlation), dtype=float)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ConfigError("correlation must be a square matrix")
@@ -571,8 +572,6 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
     c = float(np.quantile(max_abs, 1.0 - alpha))
     alpha_loc = two_sided_p(c)
     boot_gen = substream(seed, MONTE_CARLO_LANE, 1)
-    boot = np.empty(MC_BOOTSTRAPS)
-    for i in range(MC_BOOTSTRAPS):
-        idx = boot_gen.integers(0, draws, size=draws)
-        boot[i] = two_sided_p(np.quantile(max_abs[idx], 1.0 - alpha))
+    resamples = (boot_gen.integers(0, draws, size=draws) for _ in range(MC_BOOTSTRAPS))
+    boot = [two_sided_p(np.quantile(max_abs[idx], 1.0 - alpha)) for idx in resamples]
     return McAlphaLoc(alpha_loc=alpha_loc, se=float(np.std(boot, ddof=1)), c=c)

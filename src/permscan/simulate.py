@@ -22,7 +22,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_integer, check_real
 from .glm import Dataset, Family, expit
 from .rng import COVARIATE_LANE, GENOTYPE_LANE, MAF_LANE, PHENOTYPE_LANE, substream
 
@@ -55,6 +55,10 @@ class SimulationConfig:
         check_integers(self, n=3, m=1, seed=0)
         if not isinstance(self.maf_range, tuple) or len(self.maf_range) != 2:
             raise ConfigError(f"maf_range must be a 2-tuple, got {self.maf_range!r}")
+        check_real("beta_e", self.beta_e)
+        check_real("rho", self.rho)
+        for bound in self.maf_range:
+            check_real("maf_range entry", bound)
         if not 0.0 <= self.rho < 1.0:
             raise ConfigError("latent correlation rho must lie in [0, 1)")
         low, high = self.maf_range
@@ -67,12 +71,7 @@ def check_integers(config, **minimums):
     that is not a Python or numpy integer, or is below the field's minimum,
     is a ConfigError."""
     for name, low in minimums.items():
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if value < low:
-            raise ConfigError(f"{name} must be >= {low}, got {value}")
-        object.__setattr__(config, name, int(value))
+        object.__setattr__(config, name, check_integer(name, getattr(config, name), low))
 
 
 @dataclass(frozen=True)

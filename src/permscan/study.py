@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PermscanError
+from .errors import ConfigError, PermscanError, check_integer, check_real
 from .glm import fit_null
 from .resampling import (
     ResamplingScheme,
@@ -35,6 +35,7 @@ from .resampling import (
     mc_mvn_alpha_loc,
     per_dataset_fwer,
     replicate_statistics,
+    shared_permutations,
 )
 from .score import score_correlation, score_statistics
 from .simulate import SimulationConfig, check_integers, simulate_dataset
@@ -84,13 +85,20 @@ class StudyConfig:
         for scheme in self.schemes:
             if not isinstance(scheme, ResamplingScheme):
                 raise ConfigError(f"scheme must be a ResamplingScheme, got {scheme!r}")
+        check_real("alpha", self.alpha)
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be in (0, 1)")
 
 
 @dataclass(frozen=True)
 class SchemeCalibration:
-    """Aggregated calibration of one scheme over the K datasets."""
+    """Aggregated calibration of one scheme over the K datasets.
+
+    ``seconds`` is the scheme's wall time summed over the datasets. The
+    permuting schemes of a dataset share one index block per permuted
+    length and block, and the first of them in ``config.schemes`` pays for
+    drawing it.
+    """
 
     scheme: ResamplingScheme
     alpha_hat: np.ndarray
@@ -132,7 +140,7 @@ def config_digest(config):
         "alpha": config.alpha,
         "master_seed": config.master_seed,
     }
-    blob = json.dumps(payload, sort_keys=True).encode()
+    blob = json.dumps(payload, sort_keys=True, default=float).encode()  # numpy floats too
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
@@ -191,10 +199,11 @@ def _one_blas_thread():
 def _dataset_alpha_hats(config, k):
     """alpha_hat_k for every scheme on dataset k (worker task), with the
     warnings the dataset raised. They are recorded under the caller's
-    filters, so a filter that turns a warning into an error raises here."""
+    filters, so a filter that turns a warning into an error raises here.
+    The permuting schemes share their index blocks (``shared_permutations``)."""
     sim = replace(config.sim, seed=config.master_seed)
     try:
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught, shared_permutations():
             simulated = simulate_dataset(sim, stream_path=(k,))
             dataset = simulated.dataset
             fit = fit_null(sim.family, dataset.y, dataset.x_e)
@@ -283,6 +292,7 @@ def alpha_loc_study(sim, scheme, b, alpha=0.05, *, mc_draws=0, mc_seed=1):
     check_cutoff_request(b, alpha)
     if mc_draws:
         check_mc_draws(mc_draws)
+        check_integer("mc_seed", mc_seed, 0)
     simulated = simulate_dataset(sim)
     dataset = simulated.dataset
     fit = fit_null(sim.family, dataset.y, dataset.x_e)

@@ -12,7 +12,7 @@ from scipy.special import ndtr
 from permscan import Family, SimulationConfig, simulate_dataset
 from permscan import cli
 from permscan.cli import build_parser, main
-from permscan.errors import PermscanError
+from permscan.errors import ConfigError, PermscanError
 from permscan.io import ingest, write_dataset, write_genotypes
 
 
@@ -650,3 +650,25 @@ def test_subcommand_flags_are_pinned():
         for name, specs in FLAGS.items()
     }
     assert flags == expected
+
+
+
+@pytest.fixture
+def no_ingest(monkeypatch):
+    def ingest(*args, **kwargs):
+        pytest.fail("ingested before checking the seed")
+
+    monkeypatch.setattr(cli, "ingest", ingest)
+
+
+def test_scan_rejects_a_negative_seed_before_ingest(tmp_path, capsys, no_ingest):
+    paths = [str(tmp_path / name) for name in ("y.csv", "x.csv", "g.csv")]
+    args = _scan_args(paths, tmp_path / "r.csv")
+    args[args.index("--seed") + 1] = "-1"
+    assert main(args) == 5
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_run_scan_rejects_a_non_integer_seed_before_ingest(no_ingest):
+    with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
+        cli.run_scan("y.csv", "g.csv", "x.csv", seed=1.5)

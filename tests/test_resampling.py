@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -718,3 +719,39 @@ class TestKernelReferences:
         )
         # Integer data can cancel a numerator exactly, hence the absolute floor.
         assert_allclose(dist.max_stats, np.sort(reference), rtol=1e-8, atol=1e-8)
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (-1, "seed must be >= 0, got -1"),
+            (1.5, "seed must be an integer, got 1.5"),
+            ("3", "seed must be an integer, got '3'"),
+            (None, "seed must be an integer, got None"),
+            (True, "seed must be an integer, got True"),
+        ],
+    )
+    def test_rejected_before_any_work(self, seed, message, monkeypatch):
+        dataset, fit = _normal_instance()
+
+        def no_work(*args, **kwargs):
+            pytest.fail("worked before checking the seed")
+
+        monkeypatch.setattr(resampling, "_kernel", no_work)
+        monkeypatch.setattr(resampling, "substream", no_work)
+        # b=0 and a non-square matrix would raise their own errors if the
+        # seed were checked later.
+        for resampler in (replicate_statistics, replicate_matrix):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                resampler(ResamplingScheme.FREEDMAN_LANE, fit, dataset, 0, seed)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            mc_mvn_alpha_loc(np.ones(3), 0.05, draws=100, seed=seed)
+
+    def test_numpy_integer_seed_draws_as_int(self):
+        dataset, fit = _normal_instance()
+        scheme = ResamplingScheme.FREEDMAN_LANE
+        assert np.array_equal(
+            replicate_matrix(scheme, fit, dataset, 20, np.int64(4)),
+            replicate_matrix(scheme, fit, dataset, 20, 4),
+        )

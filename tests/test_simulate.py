@@ -286,3 +286,31 @@ class TestConfigValidation:
     def test_rejects_a_family_that_is_not_a_family(self, family):
         with pytest.raises(ConfigError, match="family must be a Family"):
             SimulationConfig(n=10, m=2, family=family)
+
+
+class TestRealFields:
+    NOT_FINITE_REALS = ["0.5", None, True, np.bool_(False), float("nan"), float("inf"), -np.inf]
+
+    @pytest.mark.parametrize("value", NOT_FINITE_REALS)
+    def test_rejects_a_rho_that_is_not_a_finite_real(self, value):
+        with pytest.raises(ConfigError, match="rho must be a finite real number"):
+            SimulationConfig(n=10, m=2, family=Family.NORMAL, rho=value)
+
+    @pytest.mark.parametrize("value", NOT_FINITE_REALS)
+    def test_rejects_a_beta_e_that_is_not_a_finite_real(self, value):
+        with pytest.raises(ConfigError, match="beta_e must be a finite real number"):
+            SimulationConfig(n=10, m=2, family=Family.NORMAL, beta_e=value)
+
+    @pytest.mark.parametrize("value", NOT_FINITE_REALS)
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_rejects_a_maf_bound_that_is_not_a_finite_real(self, value, position):
+        maf_range = [0.05, 0.5]
+        maf_range[position] = value
+        with pytest.raises(ConfigError, match="maf_range entry must be a finite real number"):
+            SimulationConfig(n=10, m=2, family=Family.NORMAL, maf_range=tuple(maf_range))
+
+    def test_reals_are_stored_as_given(self):
+        values = {"beta_e": 1, "rho": np.float32(0.25), "maf_range": (np.float64(0.1), 0.5)}
+        config = SimulationConfig(n=10, m=2, family=Family.NORMAL, **values)
+        for name, value in values.items():
+            assert getattr(config, name) is value

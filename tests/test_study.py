@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo calibration harness."""
 
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,12 +19,18 @@ from permscan import (
     SimulationConfig,
     StudyConfig,
     alpha_loc_study,
+    fit_null,
+    per_dataset_fwer,
+    replicate_statistics,
     run_study,
+    score_statistics,
+    simulate_dataset,
     table_rows,
     wald_ci,
 )
-from permscan import study
+from permscan import resampling, study
 from permscan.io import TABLE_FIELDS
+from permscan.rng import RESAMPLING_LANE, substream
 
 
 def _small_config(workers=1, schemes=None, k=6, b=40):
@@ -380,3 +388,122 @@ class TestAlphaLocStudy:
         combined = np.hypot(slope * permutation_se / 2, result.mc_check.se)
         difference = abs(cutoff.alpha_loc - result.mc_check.alpha_loc)
         assert difference <= 4 * combined
+
+
+class TestSharedPermutations:
+    """Within one dataset a study draws each permutation index block once
+    and shares it across the schemes that permute a vector of its length."""
+
+    def test_one_stream_per_dataset_length_and_block(self, monkeypatch):
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, beta_e=0.4)
+        config = StudyConfig(
+            sim=sim, schemes=tuple(ResamplingScheme), k=2, b=1025, master_seed=9
+        )
+        d = simulate_dataset(sim).dataset.d
+        permuted = Counter()
+
+        class Recording:
+            def __init__(self, gen, path):
+                self._gen, self._path = gen, path
+
+            def permuted(self, block, **kwargs):
+                permuted[self._path, block.shape] += 1
+                return self._gen.permuted(block, **kwargs)
+
+            def __getattr__(self, name):
+                return getattr(self._gen, name)
+
+        monkeypatch.setattr(
+            resampling, "substream", lambda seed, *path: Recording(substream(seed, *path), path)
+        )
+        run_study(config)
+        assert permuted == {
+            ((k, RESAMPLING_LANE, j), (rows, length)): 1
+            for k in range(2)
+            for j, rows in enumerate((1024, 1))
+            for length in (30, 30 - d)
+        }
+
+    @pytest.mark.parametrize(
+        "family, n, m, beta_e, schemes, b, master_seed",
+        [
+            (Family.NORMAL, 30, 3, 0.4, tuple(ResamplingScheme), 300, 9),
+            # Small binomial datasets whose permuted responses can separate,
+            # so raw-y redraws replicates from unshared streams.
+            (
+                Family.BINOMIAL,
+                12,
+                2,
+                2.0,
+                (ResamplingScheme.STANDARDIZED_RESIDUALS, ResamplingScheme.RAW_Y),
+                1025,
+                3,
+            ),
+        ],
+    )
+    def test_alpha_hat_equals_a_lone_resampler(
+        self, monkeypatch, family, n, m, beta_e, schemes, b, master_seed
+    ):
+        sim = SimulationConfig(n=n, m=m, family=family, beta_e=beta_e)
+        config = StudyConfig(sim=sim, schemes=schemes, k=3, b=b, master_seed=master_seed)
+        retries = []
+
+        def counting(seed, *path):
+            if len(path) == 4:  # (k, lane, replicate, attempt)
+                retries.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(resampling, "substream", counting)
+        result = run_study(config)
+        assert bool(retries) == (family is Family.BINOMIAL)
+        for k in range(config.k):
+            dataset = simulate_dataset(replace(sim, seed=master_seed), stream_path=(k,)).dataset
+            fit = fit_null(family, dataset.y, dataset.x_e)
+            observed = score_statistics(fit, dataset.x_g)
+            for scheme in schemes:
+                dist = replicate_statistics(
+                    scheme, fit, dataset, b, master_seed, stream_path=(k,)
+                )
+                assert result.per_scheme[scheme].alpha_hat[k] == per_dataset_fwer(
+                    dist, observed
+                )
+
+    def test_no_block_outlives_the_study(self):
+        run_study(_small_config(k=2))
+        assert resampling._shared_blocks.get() is None
+
+    def test_no_block_outlives_a_failed_dataset(self, monkeypatch):
+        cached = []
+
+        def failing(dist, observed):
+            cached.append(len(resampling._shared_blocks.get()))
+            raise FitError("fit failed")
+
+        monkeypatch.setattr(study, "per_dataset_fwer", failing)
+        with pytest.raises(FitError, match="dataset 0: fit failed"):
+            run_study(_small_config(k=2))
+        assert cached == [1]  # freedman-lane's block, drawn inside the scope
+        assert resampling._shared_blocks.get() is None
+
+
+class TestRealFields:
+    @pytest.mark.parametrize(
+        "value", ["0.05", None, True, np.bool_(True), float("nan"), float("inf")]
+    )
+    def test_rejects_an_alpha_that_is_not_a_finite_real(self, value):
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(ConfigError, match="alpha must be a finite real number"):
+            StudyConfig(sim=sim, schemes=(ResamplingScheme.RAW_Y,), k=1, b=1, alpha=value)
+
+    def test_numpy_reals_hash_and_run_as_python_floats(self):
+        def config(real):
+            sim = SimulationConfig(
+                n=30, m=3, family=Family.NORMAL, beta_e=real(0.5), rho=real(0.25)
+            )
+            return StudyConfig(
+                sim=sim, schemes=(ResamplingScheme.FREEDMAN_LANE,), k=2, b=20, alpha=real(0.25)
+            )
+
+        hashes = {run_study(config(real)).config_hash for real in (float, np.float64, np.float32)}
+        assert hashes == {study.config_digest(config(float))}
+        assert config(np.float32).alpha.dtype == np.float32  # stored as given
