@@ -10,6 +10,7 @@ which also refits every resampling replicate that needs it.
 """
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -26,6 +27,9 @@ __all__ = ["Family", "Dataset", "NullModelFit", "fit_null"]
 IRLS_MAX_ITER = 50
 IRLS_STEP_TOL = 1e-5
 SEPARATION_TOL = 1e-10
+# |eta| below which no probability is within SEPARATION_TOL of 0 or 1: the
+# logit of 1 - SEPARATION_TOL (about 23.03), less a margin for rounding.
+_SEPARATION_ETA = math.log((1.0 - SEPARATION_TOL) / SEPARATION_TOL) - 1.0
 
 
 class Family(enum.Enum):
@@ -156,8 +160,16 @@ class NullModelFit:
 def expit(x):
     """Logistic function 1 / (1 + exp(-x)); exp(-x) overflows to inf below
     about -709, which gives 0."""
+    return _expit_in_place(np.array(x, dtype=float))
+
+
+def _expit_in_place(a):
+    """Overwrite the float array ``a`` with expit(a) and return it."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        return np.divide(1.0, a, out=a)
 
 
 def _qr_solve(a, rhs):
@@ -177,11 +189,14 @@ def _qr_solve(a, rhs):
 class BatchIrls(NamedTuple):
     """Binomial IRLS fits of a batch of responses, one row each.
 
-    ``iterations`` counts the passes of the shared loop. A row is
-    ``converged`` once a Newton step, the change of its coefficients over
-    one pass, was small relative to the coefficients (IRLS_STEP_TOL). A row
-    failed when a weighted system was ``singular``, its probabilities were
-    ``separated`` (reached 0 or 1) or it did not reach ``converged``.
+    ``iterations`` counts the passes of the shared loop, which ends once
+    every row has converged or separated. A row is ``converged`` once a
+    Newton step, the change of its coefficients over one pass, was small
+    relative to the coefficients (IRLS_STEP_TOL). A row failed when a
+    weighted system was ``singular``, its probabilities on the last pass
+    were ``separated`` (within SEPARATION_TOL of 0 or 1) or it did not
+    reach ``converged``. ``mu`` is the loop's own buffer, so a caller may
+    overwrite it.
     """
 
     coef: np.ndarray
@@ -215,39 +230,72 @@ def batch_solve(a, rhs):
         return (out[..., 0] if vector else out), ok
 
 
+def outer_rows(x):
+    """(n, d*d) matrix whose row i is the flattened outer product x_i x_i',
+    so that ``w @ outer_rows(x)`` stacks the Gram matrices x' diag(w) x."""
+    n, d = x.shape
+    return (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
+
+
+def _separated(mu, coef, x_scale):
+    """Rows whose probabilities reached 0 or 1 within SEPARATION_TOL. Only a
+    row whose bound sum_i |coef_i| * max_n |x_ni| on |eta| reaches
+    _SEPARATION_ETA is scanned."""
+    separated = np.zeros(len(mu), dtype=bool)
+    candidates = np.flatnonzero(np.abs(coef) @ x_scale >= _SEPARATION_ETA)
+    if candidates.size:
+        near = mu[candidates]
+        separated[candidates] = (near.min(axis=1) < SEPARATION_TOL) | (
+            near.max(axis=1) > 1.0 - SEPARATION_TOL
+        )
+    return separated
+
+
 def binomial_irls(x_e, ys):
     """Logistic fit of every 0/1 row of ``ys`` on ``x_e`` by batch IRLS.
 
-    Each pass solves the weighted normal equations of all rows at once. A
-    row has converged once its Newton step is at most IRLS_STEP_TOL times
-    1 + max|coef| in the max norm; pass 1 has no earlier coefficients, so no
-    row converges on it. The loop stops when every row has converged, or
-    after IRLS_MAX_ITER passes. Separated coefficients diverge, so
-    separation is diagnosed on the final probabilities whether or not a row
-    converged.
+    The start is mu = (y + 1/2) / 2, where every weight is 3/16 and the
+    working response is (2y - 1)(log 3 + 4/3), so pass 1 is one
+    least-squares solve shared by the whole batch. Every later pass is the
+    Newton step coef += (x' W x)^-1 x' (y - mu), with the stacked x' W x
+    taken as one product of the weights and ``outer_rows(x_e)``; mu and the
+    weights live in two (rows, n) buffers updated in place, and ``mu`` of
+    the result is the first of them. A row has converged once its Newton
+    step is at most IRLS_STEP_TOL times 1 + max|coef| in the max norm, so
+    none converges on pass 1. Separated coefficients diverge and never
+    converge; separation is diagnosed on the probabilities of every pass.
+    The loop stops when every row has converged or separated, or after
+    IRLS_MAX_ITER passes.
     """
-    batch = ys.shape[0]
-    mu = (ys + 0.5) / 2.0
-    eta = np.log(mu / (1.0 - mu))
+    batch, d = ys.shape[0], x_e.shape[1]
     converged = np.zeros(batch, dtype=bool)
     singular = np.zeros(batch, dtype=bool)
-    for iteration in range(1, IRLS_MAX_ITER + 1):
-        w = mu * (1.0 - mu)
-        z = eta + (ys - mu) / w
-        a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
-        new, ok = batch_solve(a, (w * z) @ x_e)
-        singular |= ~ok
-        if iteration > 1:
-            step = np.abs(new - coef).max(axis=1)
-            converged |= step <= IRLS_STEP_TOL * (1.0 + np.abs(new).max(axis=1))
-        coef = new
-        eta = coef @ x_e.T
-        mu = np.clip(expit(eta), 1e-12, 1.0 - 1e-12)
-        if converged.all():
+    working = math.log(3.0) + 4.0 / 3.0
+    rhs = (2.0 * working) * (ys @ x_e) - working * x_e.sum(axis=0)
+    try:
+        coef = np.linalg.solve(x_e.T @ x_e, rhs.T).T
+    except np.linalg.LinAlgError:
+        coef = np.zeros((batch, d))
+        singular[:] = True
+    gram = outer_rows(x_e)
+    x_scale = np.abs(x_e).max(axis=0)
+    mu, work = np.empty(ys.shape), np.empty(ys.shape)
+    iteration = 1
+    while True:
+        _expit_in_place(np.matmul(coef, x_e.T, out=mu))
+        np.clip(mu, 1e-12, 1.0 - 1e-12, out=mu)
+        separated = _separated(mu, coef, x_scale)
+        if iteration >= IRLS_MAX_ITER or (converged | separated).all():
             break
-    separated = (mu.min(axis=1) < SEPARATION_TOL) | (
-        mu.max(axis=1) > 1.0 - SEPARATION_TOL
-    )
+        iteration += 1
+        np.subtract(1.0, mu, out=work)
+        work *= mu
+        a = (work @ gram).reshape(batch, d, d)
+        step, ok = batch_solve(a, np.subtract(ys, mu, out=work) @ x_e)
+        singular |= ~ok
+        coef += step
+        limit = IRLS_STEP_TOL * (1.0 + np.abs(coef).max(axis=1))
+        converged |= np.abs(step).max(axis=1) <= limit
     return BatchIrls(coef, mu, iteration, singular, separated, converged)
 
 

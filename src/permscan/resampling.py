@@ -33,7 +33,11 @@ block of rows to a block of statistics and is one of two kinds:
   z (I - H) x_g / unit_denom with each row divided by its residual standard
   error ||(I - H) z|| / sqrt(n - d);
 * a binomial refit by batch IRLS: of the mean only against the observed
-  denominators (raw-y), or of the mean, weights and denominators (bootstrap).
+  denominators (raw-y), or of the mean, weights and denominators
+  (bootstrap). The bootstrap's per-row x_e' W x_e and x_e' W x_g are
+  matrix products over the block, and y - mu_hat is formed in the IRLS's
+  own buffer once the denominators are taken. A binomial bootstrap row is
+  written as 0/1 floats into the buffer of the uniforms it compares.
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
@@ -67,7 +71,7 @@ from .errors import (
     ReplicateFailureError,
     check_integer,
 )
-from .glm import Family, batch_solve, binomial_irls, fit_null
+from .glm import Family, batch_solve, binomial_irls, fit_null, outer_rows
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
 from .score import DEGENERATE_TOL, degenerate, score_denominators, two_sided_p
 
@@ -298,28 +302,45 @@ def _binomial_refit(x_e, x_g, denom):
 
     def evaluate(rows):
         fit = binomial_irls(x_e, rows)
-        mu, ok = fit.mu, fit.ok
+        ok = fit.ok
         row_denom = denom
         if denom is None:
-            row_denom, denom_ok = _refit_denominators(x_e, x_g, mu)
+            row_denom, denom_ok = _refit_denominators(x_e, x_g, fit.mu)
             ok &= denom_ok
-        return ((rows - mu) @ x_g) / row_denom, ok
+        stats = np.subtract(rows, fit.mu, out=fit.mu) @ x_g
+        stats /= row_denom
+        return stats, ok
 
     return evaluate
 
 
 def _refit_denominators(x_e, x_g, mu):
     """Score denominators of each row of fitted probabilities ``mu`` and the
-    mask of rows with a regular system and no degenerate marker. Returning
-    frees the (rows, d, m) intermediates before the statistics are formed."""
-    w = mu * (1.0 - mu)
+    mask of rows with a regular system and no degenerate marker. The
+    stacked x_e' W x_e and x_e' W x_g are one product each, with the
+    weighted covariates stacked as (rows * d, n). Returning frees the
+    (rows, d, m) intermediates before the statistics are formed."""
+    (rows, n), d = mu.shape, x_e.shape[1]
+    w = np.subtract(1.0, mu)
+    w *= mu
+    a = (w @ outer_rows(x_e)).reshape(rows, d, d)
+    weighted = np.multiply(w[:, None, :], x_e.T, out=np.empty((rows, d, n)))
+    cross = (weighted.reshape(rows * d, n) @ x_g).reshape(rows, d, -1)
+    del weighted
     term1 = w @ (x_g**2)
-    cross = np.einsum("ni,bn,nj->bij", x_e, w, x_g, optimize=True)
-    a = np.einsum("ni,bn,nj->bij", x_e, w, x_e, optimize=True)
+    del w
     sol, ok = batch_solve(a, cross)
     denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
     ok &= ~degenerate(denom_sq, term1).any(axis=1)
-    return np.sqrt(np.maximum(denom_sq, DEGENERATE_TOL**2)), ok
+    np.maximum(denom_sq, DEGENERATE_TOL**2, out=denom_sq)
+    return np.sqrt(denom_sq, out=denom_sq), ok
+
+
+def _bernoulli_rows(gen, rows, mu_e):
+    """(rows, n) block of 0/1 draws with probabilities ``mu_e``, written as
+    floats into the buffer of the uniforms they compare."""
+    u = gen.random((rows, len(mu_e)))
+    return np.less(u, mu_e, out=u, casting="unsafe")
 
 
 def _kernel(scheme, fit, dataset):
@@ -344,7 +365,7 @@ def _kernel(scheme, fit, dataset):
         return _Kernel(dataset.y, None, _binomial_refit(fit.x_e, x_g, denom))
     return _Kernel(
         dataset.y,
-        lambda gen, rows: (gen.random((rows, n)) < fit.mu_e).astype(float),
+        lambda gen, rows: _bernoulli_rows(gen, rows, fit.mu_e),
         _binomial_refit(fit.x_e, x_g, None),
     )
 

@@ -4,6 +4,7 @@ import inspect
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -153,6 +154,64 @@ class TestBinomialFit:
     def test_non_binary_response_rejected(self):
         with pytest.raises(ValueError):
             fit_null(Family.BINOMIAL, np.array([0.0, 1.0, 2.0]), np.ones((3, 1)))
+
+
+MASKS = ("singular", "separated", "converged")
+
+
+class TestBatchIrls:
+    def test_peak_memory_is_two_row_buffers(self):
+        rng = np.random.default_rng(31)
+        x_e = _random_design(400, 2, 32)
+        ys = (rng.random((512, 400)) < expit(0.3 + 1.2 * x_e[:, 1])).astype(float)
+        glm.binomial_irls(x_e, ys)
+        tracemalloc.start()
+        try:
+            glm.binomial_irls(x_e, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ys.nbytes
+
+    def test_each_row_fits_as_a_batch_of_one(self):
+        rng = np.random.default_rng(42)
+        x_e = _random_design(20, 2, 41)
+        z = x_e[:, 1]
+        regular = (rng.random((6, 20)) < expit(0.4 + 0.9 * z)).astype(float)
+        separated = np.vstack([z > 0, z < -0.5, z > 1.0]).astype(float)
+        ys = np.vstack([regular[:2], separated[:1], regular[2:], separated[1:]])
+        batch = glm.binomial_irls(x_e, ys)
+        assert batch.separated.tolist() == [False] * 2 + [True] + [False] * 4 + [True] * 2
+        assert batch.ok.sum() == 6
+        for i, y in enumerate(ys):
+            single = glm.binomial_irls(x_e, y[None, :])
+            for mask in MASKS:
+                assert getattr(batch, mask)[i] == getattr(single, mask)[0], (i, mask)
+            if batch.ok[i]:
+                oracle = _bernoulli_newton_oracle(y, x_e)
+                assert_allclose(batch.coef[i], single.coef[0], rtol=0, atol=1e-8)
+                assert_allclose(batch.coef[i], oracle, rtol=0, atol=1e-8)
+
+    def test_singular_rows_fit_as_a_batch_of_one(self):
+        rng = np.random.default_rng(43)
+        z = _random_design(20, 2, 44)[:, 1]
+        x_e = np.column_stack([np.ones(20), z, 2 * z])
+        ys = (rng.random((4, 20)) < expit(0.4 + 0.9 * z)).astype(float)
+        batch = glm.binomial_irls(x_e, ys)
+        assert batch.singular.all() and not batch.ok.any()
+        for i, y in enumerate(ys):
+            single = glm.binomial_irls(x_e, y[None, :])
+            for mask in MASKS:
+                assert getattr(batch, mask)[i] == getattr(single, mask)[0], (i, mask)
+            assert np.array_equal(batch.coef[i], single.coef[0])
+
+    def test_separated_batch_stops_early(self):
+        z = np.linspace(-2, 2, 30)
+        x_e = np.column_stack([np.ones(30), z])
+        ys = np.vstack([z > 0, z < 0.5]).astype(float)
+        fit = glm.binomial_irls(x_e, ys)
+        assert fit.separated.all() and not fit.converged.any()
+        assert fit.iterations < glm.IRLS_MAX_ITER
 
 
 # A non-finite phenotype or covariate must be rejected by name, not fitted

@@ -1,5 +1,6 @@
 """Tests for tools/parity.py, which digests every output family of a tree."""
 
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,9 @@ TOOL = ROOT / "tools" / "parity.py"
 FAMILIES = ["study", "alpha_loc", "simulate", "scan", "mc"]
 
 
-def _parity(src):
+def _parity(*srcs):
     return subprocess.run(
-        [sys.executable, str(TOOL), str(src)], capture_output=True, text=True
+        [sys.executable, str(TOOL), *map(str, srcs)], capture_output=True, text=True
     )
 
 
@@ -26,5 +27,19 @@ def test_two_runs_on_this_tree_print_the_same_digests():
 
 def test_a_directory_without_permscan_is_refused(tmp_path):
     done = _parity(tmp_path)
+    assert done.returncode == 2
+    assert not done.stdout and "parity:" in done.stderr
+
+
+def test_two_copies_of_one_tree_compare_all_same(tmp_path):
+    copy = tmp_path / "src"
+    shutil.copytree(ROOT / "src", copy, ignore=shutil.ignore_patterns("__pycache__"))
+    done = _parity(ROOT / "src", copy)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [f"{family} same" for family in FAMILIES]
+
+
+def test_two_tree_mode_refuses_a_tree_without_permscan(tmp_path):
+    done = _parity(ROOT / "src", tmp_path)
     assert done.returncode == 2
     assert not done.stdout and "parity:" in done.stderr

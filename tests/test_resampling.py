@@ -34,6 +34,7 @@ from permscan import (
     score_statistics,
     simulate_dataset,
 )
+from permscan.score import score_denominators
 from permscan import resampling
 from permscan.glm import Dataset, NullModelFit
 from permscan.rng import RESAMPLING_LANE, substream
@@ -719,6 +720,29 @@ class TestKernelReferences:
         )
         # Integer data can cancel a numerator exactly, hence the absolute floor.
         assert_allclose(dist.max_stats, np.sort(reference), rtol=1e-8, atol=1e-8)
+
+
+def test_bootstrap_denominators_match_fit_null_per_row():
+    # The bootstrap's stacked x_e' W x_e and x_e' W x_g products give each
+    # row the denominators that a fit of that row alone gives.
+    dataset, fit = _binomial_instance(n=80, m=6, seed=201)
+    kernel = resampling._kernel(ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset)
+    rows = kernel.draw(substream(9, RESAMPLING_LANE, 0), 24)
+    fits = [fit_null(Family.BINOMIAL, row, dataset.x_e) for row in rows]
+    mu = np.vstack([row_fit.mu_e for row_fit in fits])
+    denom, ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu)
+    expected = np.vstack([score_denominators(row_fit, dataset.x_g) for row_fit in fits])
+    assert ok.all()
+    assert_allclose(denom, expected, rtol=1e-10, atol=0)
+
+
+def test_bernoulli_rows_match_a_plain_comparison():
+    gen_args = (4, RESAMPLING_LANE, 0)
+    mu_e = np.linspace(0.05, 0.95, 30)
+    rows = resampling._bernoulli_rows(substream(*gen_args), 50, mu_e)
+    expected = (substream(*gen_args).random((50, 30)) < mu_e).astype(float)
+    assert rows.dtype == np.float64
+    assert np.array_equal(rows, expected)
 
 
 class TestSeedCheck:

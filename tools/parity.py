@@ -1,10 +1,16 @@
-"""Print one SHA-256 digest per output family of the permscan in SRC_DIR.
+"""Print one SHA-256 digest per output family of the permscan in SRC_DIR,
+or compare the families of two trees.
 
     python3 tools/parity.py SRC_DIR
+    python3 tools/parity.py OLD_SRC NEW_SRC
 
-SRC_DIR is the ``src`` directory of a checkout. Run the tool on two
-checkouts and compare the lines: where a family's digests agree, the two
-produced the same bytes. The families, one line each:
+SRC_DIR is the ``src`` directory of a checkout. Given one tree, the tool
+prints each family's digest: where two trees' digests agree, they produced
+the same bytes. Given two trees, it runs each in its own process and
+prints ``same`` or ``moved`` per family; a moved family also gets the
+largest relative difference between the numbers of its outputs (JSON
+true/false read as 1/0), or the two counts of numbers when they differ.
+The families, one line each:
 
     study      run_study alpha_hat of the benchmark's study-normal and
                study-binomial configurations (n=400, m=100, rho=0.7, K=10,
@@ -15,14 +21,18 @@ produced the same bytes. The families, one line each:
                schemes, B=1025, with the seed given to ``simulate``
     mc         mc_mvn_alpha_loc of a compound-symmetry correlation matrix
 
-Exit code 2 when SRC_DIR holds no permscan package.
+Exit code 2 when a tree holds no permscan package.
 """
 
 import contextlib
 import dataclasses
 import hashlib
 import io
+import math
 import json
+import pickle
+import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -32,6 +42,13 @@ import numpy as np
 
 SEED = 3
 FILES = ("phenotype.csv", "covariates.csv", "genotypes.csv")
+NUMBER = re.compile(
+    rb"true|false|null|NaN|-?Infinity|-?inf|nan"
+    rb"|[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+)
+WORDS = {b"true": 1.0, b"false": 0.0, b"null": math.nan}
+# Run by the two-tree mode in a child process: tools dir, SRC_DIR, out path.
+CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import parity; sys.exit(parity.dump(*sys.argv[2:]))"
 
 
 def _import(src):
@@ -59,7 +76,7 @@ def _study(ps):
             config = ps.StudyConfig(sim=sim, schemes=chosen, k=10, b=500, master_seed=seed)
             result = ps.run_study(config)
             for scheme in chosen:
-                yield result.per_scheme[scheme].alpha_hat.tobytes()
+                yield result.per_scheme[scheme].alpha_hat
 
 
 def _alpha_loc(ps):
@@ -107,33 +124,106 @@ def _mc(ps):
     yield repr(tuple(ps.mc_mvn_alpha_loc(correlation, 0.05, 20_000, SEED))).encode()
 
 
+def _bytes(chunk):
+    return chunk.tobytes() if isinstance(chunk, np.ndarray) else chunk
+
+
 def _digest(chunks):
     digest = hashlib.sha256()
     for chunk in chunks:
-        digest.update(hashlib.sha256(chunk).digest())
+        digest.update(hashlib.sha256(_bytes(chunk)).digest())
     return digest.hexdigest()
+
+
+def _numbers(chunks):
+    """Every number of a family's outputs, in order, as one float array."""
+    values = []
+    for chunk in chunks:
+        if isinstance(chunk, np.ndarray):
+            values.extend(chunk.ravel().tolist())
+        else:
+            values.extend(WORDS[t] if t in WORDS else float(t) for t in NUMBER.findall(chunk))
+    return np.array(values, dtype=float)
+
+
+def _families(ps):
+    """(family, chunks) pairs; a chunk is bytes or a float array."""
+    with tempfile.TemporaryDirectory() as tmp:
+        simulated, scans = _cli(ps, Path(tmp))
+    return [
+        ("study", list(_study(ps))),
+        ("alpha_loc", list(_alpha_loc(ps))),
+        ("simulate", simulated),
+        ("scan", scans),
+        ("mc", list(_mc(ps))),
+    ]
+
+
+def _load(src):
+    try:
+        return _import(Path(src).resolve())
+    except ImportError as exc:
+        print(f"parity: {exc}", file=sys.stderr)
+        return None
+
+
+def dump(src, out):
+    """Pickle the families of the permscan in ``src`` to ``out``."""
+    ps = _load(src)
+    if ps is None:
+        return 2
+    warnings.simplefilter("ignore", UserWarning)
+    Path(out).write_bytes(pickle.dumps(_families(ps)))
+    return 0
+
+
+def _moved(old, new):
+    """How far a family's numbers moved between two trees."""
+    a, b = _numbers(old), _numbers(new)
+    if a.shape != b.shape:
+        return f"{a.size} -> {b.size} numbers"
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        scale = np.maximum(np.abs(a), np.abs(b))
+        rel = np.where(same, 0.0, np.abs(a - b) / scale)
+    return f"{float(rel.max(initial=0.0)):.2g}"
+
+
+def compare(old_src, new_src):
+    """Print ``same`` or ``moved`` per family of two trees."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "old.pickle", Path(tmp) / "new.pickle"]
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", CHILD, str(Path(__file__).resolve().parent), src, str(out)]
+            )
+            for src, out in zip((old_src, new_src), outs)
+        ]
+        codes = [child.wait() for child in children]
+        if any(codes):
+            return max(codes)
+        old, new = (pickle.loads(out.read_bytes()) for out in outs)
+    for (family, before), (_, after) in zip(old, new):
+        if _digest(before) == _digest(after):
+            print(f"{family} same", flush=True)
+        else:
+            print(f"{family} moved {_moved(before, after)}", flush=True)
+    return 0
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 2:
+        return compare(*argv)
     if len(argv) != 1:
-        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        usage = __doc__.strip().splitlines()[3:5]
+        print("usage:", *(line.strip() for line in usage), sep="\n  ", file=sys.stderr)
         return 2
-    try:
-        ps = _import(Path(argv[0]).resolve())
-    except ImportError as exc:
-        print(f"parity: {exc}", file=sys.stderr)
+    ps = _load(argv[0])
+    if ps is None:
         return 2
     warnings.simplefilter("ignore", UserWarning)
-    with tempfile.TemporaryDirectory() as tmp:
-        simulated, scans = _cli(ps, Path(tmp))
-    for family, chunks in (
-        ("study", _study(ps)),
-        ("alpha_loc", _alpha_loc(ps)),
-        ("simulate", simulated),
-        ("scan", scans),
-        ("mc", _mc(ps)),
-    ):
+    for family, chunks in _families(ps):
         print(f"{family} {_digest(chunks)}", flush=True)
     return 0
 
