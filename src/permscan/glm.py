@@ -109,7 +109,8 @@ class NullModelFit:
     sqrt(variance) * x_e; the weighted hat matrix is ``hat_basis @ hat_basis.T``
     and is never materialized except on demand for small problems. The
     object is immutable after construction (the orthonormal complement used
-    by the modified-model scheme is cached lazily, written at most once).
+    by the modified-model scheme and the score denominators of one
+    read-only genotype matrix are cached lazily, each written at most once).
     """
 
     family: Family
@@ -122,6 +123,9 @@ class NullModelFit:
     hat_basis: np.ndarray
     iterations: int = 0
     _q_cache: np.ndarray | None = field(default=None, repr=False)
+    # (x_g, denominators) of score.score_denominators; not carried by a
+    # dataclasses.replace copy, whose weights may differ.
+    _denom_cache: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self):

@@ -23,21 +23,26 @@ statistic:
 Every scheme is one *row source* feeding one *evaluator*. A replicate row is
 a permutation of a fixed base vector (the four transform schemes and raw-y),
 gathered from a block of permutation indices, or a bootstrap draw: N(0, I)
-noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator maps a
-block of rows to a block of statistics and is one of two kinds:
+noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator is a
+marker-free *row fit* of a block of rows followed by a *marker map* that
+turns one block of ``_MARKER_BLOCK`` marker columns at a time into
+statistics, so no (rows, m) array is held unless ``replicate_matrix`` asks
+for one. It is one of two kinds:
 
 * a fixed linear map: ``x_tilde`` for the transform schemes, with the
-  per-dataset denominators computed once. Refitting a permuted normal
-  response is a projection, so normal raw-y is (I - H) x_g / denom. The
-  normal bootstrap statistic depends on neither mu_e nor phi_hat: it is
-  z (I - H) x_g / unit_denom with each row divided by its residual standard
-  error ||(I - H) z|| / sqrt(n - d);
-* a binomial refit by batch IRLS: of the mean only against the observed
-  denominators (raw-y), or of the mean, weights and denominators
-  (bootstrap). The bootstrap's per-row x_e' W x_e and x_e' W x_g are
-  matrix products over the block, and y - mu_hat is formed in the IRLS's
-  own buffer once the denominators are taken. A binomial bootstrap row is
-  written as 0/1 floats into the buffer of the uniforms it compares.
+  per-dataset denominators computed once, and no row fit. Refitting a
+  permuted normal response is a projection, so normal raw-y is
+  (I - H) x_g / denom. The normal bootstrap statistic depends on neither
+  mu_e nor phi_hat: it is z (I - H) x_g / unit_denom with each row divided
+  by its residual standard error ||(I - H) z|| / sqrt(n - d), which is its
+  row fit;
+* a binomial refit: the row fit is one batch IRLS of the whole block, of
+  the mean only against the observed denominators (raw-y), or of the mean
+  and weights (bootstrap), whose marker map also takes each row's
+  denominators of its columns. The bootstrap's per-row x_e' W x_e is taken
+  once per block, x_e' W x_g is one matrix product per marker block, and
+  y - mu_hat is formed in the IRLS's own buffer. A binomial bootstrap row
+  is written as 0/1 floats into the buffer of the uniforms it compares.
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
@@ -100,6 +105,9 @@ MC_BOOTSTRAPS = 100
 # Replicates per random stream. Part of the stream definition: changing it
 # changes every draw. Fixed blocks keep replicate r the same for any b.
 _CHUNK = 1024
+# Marker columns a replicate block maps at a time, so a scan holds
+# (rows, _MARKER_BLOCK) statistics and running row maxima, never (rows, m).
+_MARKER_BLOCK = 512
 
 
 class ResamplingScheme(enum.Enum):
@@ -230,19 +238,25 @@ def exchangeable_transform(scheme, fit, dataset):
     else:  # FULL_MODEL_RESIDUALS
         full = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g]))
         y_t, x_t = full.residuals, x_g
-    return Transform(y_tilde=y_t, x_tilde=x_t / denom)
+    if x_t is x_g:
+        x_t = x_g / denom
+    else:
+        x_t /= denom  # a fresh array, scaled in place
+    return Transform(y_tilde=y_t, x_tilde=x_t)
 
 
 class _Kernel(NamedTuple):
     """A scheme's replicate machinery: ``base`` is the identity replicate's
     row, ``draw(gen, rows)`` returns a (rows, length) block of bootstrap
     rows, or is None when the rows are permutations of ``base``, and
-    ``evaluate(block)`` maps a block to its (rows, m) statistics and a mask
-    of the rows whose refit succeeded."""
+    ``fit(rows)`` is the marker-free row fit of a block. It returns the
+    block's marker map and the mask of rows whose fit succeeded; the marker
+    map takes a slice of marker columns and returns their (rows, columns)
+    statistics with the mask of rows that stay regular on those columns."""
 
     base: np.ndarray
     draw: Callable | None
-    evaluate: Callable
+    fit: Callable
 
 
 # Permutation index blocks keyed by (seed, *path, block, rows, length), which
@@ -281,59 +295,88 @@ def _draw(kernel, rows, seed, *path, share=False):
 
 
 def _linear(x_map, hat_basis=None):
-    """Evaluator ``rows @ x_map``. Given ``hat_basis``, each row is also
-    divided by its residual standard error ||(I - H) row|| / sqrt(n - d)."""
+    """Row fit whose marker map is ``rows @ x_map[:, cols]``. Given
+    ``hat_basis``, the row fit takes each row's residual standard error
+    ||(I - H) row|| / sqrt(n - d), and the map divides each row by it."""
 
-    def evaluate(rows):
-        stats = rows @ x_map
+    def fit(rows):
+        scale = None
         if hat_basis is not None:
             n, d = hat_basis.shape
             resid = rows - (rows @ hat_basis) @ hat_basis.T
-            stats /= np.sqrt(np.einsum("bn,bn->b", resid, resid) / (n - d))[:, None]
-        return stats, np.ones(rows.shape[0], dtype=bool)
+            scale = np.sqrt(np.einsum("bn,bn->b", resid, resid) / (n - d))[:, None]
 
-    return evaluate
+        def marker_map(cols):
+            stats = rows @ x_map[:, cols]
+            if scale is not None:
+                stats /= scale
+            return stats, True
+
+        return marker_map, np.ones(rows.shape[0], dtype=bool)
+
+    return fit
 
 
 def _binomial_refit(x_e, x_g, denom):
-    """Evaluator that refits the binomial null mean on every row. With the
-    observed ``denom`` only the mean is refit; with ``denom=None`` the
-    variance weights and denominators are recomputed too."""
+    """Row fit that refits the binomial null mean on every row by batch
+    IRLS. With the observed ``denom`` only the mean is refit; with
+    ``denom=None`` the row fit also takes the variance weights, and the
+    marker map each row's denominators of its columns."""
 
-    def evaluate(rows):
-        fit = binomial_irls(x_e, rows)
-        ok = fit.ok
-        row_denom = denom
-        if denom is None:
-            row_denom, denom_ok = _refit_denominators(x_e, x_g, fit.mu)
-            ok &= denom_ok
-        stats = np.subtract(rows, fit.mu, out=fit.mu) @ x_g
-        stats /= row_denom
-        return stats, ok
+    def fit(rows):
+        irls = binomial_irls(x_e, rows)
+        weights = None if denom is not None else _refit_weights(x_e, irls.mu)
+        resid = np.subtract(rows, irls.mu, out=irls.mu)
 
-    return evaluate
+        def marker_map(cols):
+            x_cols = x_g[:, cols]
+            if weights is None:
+                row_denom, ok = denom[cols], True
+            else:
+                row_denom, ok = _refit_block_denominators(weights, x_cols)
+            stats = resid @ x_cols
+            stats /= row_denom
+            return stats, ok
+
+        return marker_map, irls.ok
+
+    return fit
 
 
-def _refit_denominators(x_e, x_g, mu):
-    """Score denominators of each row of fitted probabilities ``mu`` and the
-    mask of rows with a regular system and no degenerate marker. The
-    stacked x_e' W x_e and x_e' W x_g are one product each, with the
-    weighted covariates stacked as (rows * d, n). Returning frees the
-    (rows, d, m) intermediates before the statistics are formed."""
+def _refit_weights(x_e, mu):
+    """Marker-free half of the refit denominators of each row of fitted
+    probabilities ``mu``: the stacked x_e' W x_e systems and the (rows, d, n)
+    weighted covariates. Slice 0 is the weights w themselves, which needs
+    x_e[:, 0] to be the intercept column of ones that ``Dataset`` checks."""
     (rows, n), d = mu.shape, x_e.shape[1]
-    w = np.subtract(1.0, mu)
+    weighted = np.empty((rows, d, n))
+    w = np.subtract(1.0, mu, out=weighted[:, 0, :])
     w *= mu
+    np.multiply(w[:, None, :], x_e.T[1:], out=weighted[:, 1:, :])
     a = (w @ outer_rows(x_e)).reshape(rows, d, d)
-    weighted = np.multiply(w[:, None, :], x_e.T, out=np.empty((rows, d, n)))
-    cross = (weighted.reshape(rows * d, n) @ x_g).reshape(rows, d, -1)
-    del weighted
-    term1 = w @ (x_g**2)
-    del w
+    return a, weighted
+
+
+def _refit_block_denominators(weights, x_cols):
+    """Score denominators of the marker columns ``x_cols`` for every row of
+    ``_refit_weights`` and the mask of rows with a regular system and no
+    degenerate marker among them. x_e' W x_g is one (rows * d, n) product."""
+    a, weighted = weights
+    rows, d, n = weighted.shape
+    cross = (weighted.reshape(rows * d, n) @ x_cols).reshape(rows, d, -1)
+    term1 = weighted[:, 0, :] @ (x_cols**2)
     sol, ok = batch_solve(a, cross)
     denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
     ok &= ~degenerate(denom_sq, term1).any(axis=1)
     np.maximum(denom_sq, DEGENERATE_TOL**2, out=denom_sq)
     return np.sqrt(denom_sq, out=denom_sq), ok
+
+
+def _refit_denominators(x_e, x_g, mu):
+    """Score denominators of each row of fitted probabilities ``mu`` on all
+    markers of ``x_g``, and the mask of rows with a regular system and no
+    degenerate marker."""
+    return _refit_block_denominators(_refit_weights(x_e, mu), x_g)
 
 
 def _bernoulli_rows(gen, rows, mu_e):
@@ -344,7 +387,7 @@ def _bernoulli_rows(gen, rows, mu_e):
 
 
 def _kernel(scheme, fit, dataset):
-    """Base row, draw and evaluator of ``scheme`` on ``dataset``."""
+    """Base row, draw and row fit of ``scheme`` on ``dataset``."""
     if not scheme.refits_per_replicate:
         transform = exchangeable_transform(scheme, fit, dataset)
         return _Kernel(transform.y_tilde, None, _linear(transform.x_tilde))
@@ -354,30 +397,55 @@ def _kernel(scheme, fit, dataset):
     if fit.family is Family.NORMAL:
         resid_x = x_g - fit.hat_apply(x_g)
         if not bootstrap:
-            return _Kernel(dataset.y, None, _linear(resid_x / denom))
-        unit_denom = np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
+            resid_x /= denom
+            return _Kernel(dataset.y, None, _linear(resid_x))
+        resid_x /= np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
         return _Kernel(
             fit.residuals / math.sqrt(fit.phi_hat),
             lambda gen, rows: gen.standard_normal((rows, n)),
-            _linear(resid_x / unit_denom, fit.hat_basis),
+            _linear(resid_x, fit.hat_basis),
         )
     if not bootstrap:
-        return _Kernel(dataset.y, None, _binomial_refit(fit.x_e, x_g, denom))
+        return _Kernel(dataset.y, None, _binomial_refit(dataset.x_e, x_g, denom))
     return _Kernel(
         dataset.y,
         lambda gen, rows: _bernoulli_rows(gen, rows, fit.mu_e),
-        _binomial_refit(fit.x_e, x_g, None),
+        _binomial_refit(dataset.x_e, x_g, None),
     )
 
 
-def _statistics(scheme, fit, dataset, b, seed, path, exhaustive=False, force_identity=False):
-    """Check the arguments, then yield the (rows, m) statistics of
-    ``scheme``'s replicates 0..b-1 block by block in replicate order.
+def _evaluate(kernel, rows, m, full):
+    """Statistics of a block of replicate rows, mapped _MARKER_BLOCK marker
+    columns at a time: the (rows, m) matrix if ``full``, else each row's
+    running maximum of |t|. Returns them with the mask of rows whose fit
+    succeeded and stayed regular on every column."""
+    marker_map, ok = kernel.fit(rows)
+    out = np.empty((len(rows), m)) if full else np.zeros(len(rows))
+    for lo in range(0, m, _MARKER_BLOCK):
+        cols = slice(lo, lo + _MARKER_BLOCK)
+        stats, cols_ok = marker_map(cols)
+        ok &= cols_ok
+        if full:
+            out[:, cols] = stats
+        else:
+            np.maximum(out, np.abs(stats, out=stats).max(axis=1), out=out)
+        del stats  # before the next block's are formed
+    return out, ok
+
+
+def _statistics(
+    scheme, fit, dataset, b, seed, path, exhaustive=False, force_identity=False, full=False
+):
+    """Check the arguments, then yield, block by block in replicate order,
+    the row maxima of |t| of ``scheme``'s replicates 0..b-1, or with
+    ``full`` their (rows, m) statistics.
 
     ``path`` names the dataset; block j and each attempt to redraw a failed
     replicate draw from their own stream in its resampling lane (``rng``
-    lays out the keys). Fixed rows (``exhaustive``, ``force_identity``) are
-    never redrawn, so a failed refit of one raises at once.
+    lays out the keys). A row fails when its fit fails on any marker block,
+    so retries are decided once every block is mapped. Fixed rows
+    (``exhaustive``, ``force_identity``) are never redrawn, so a failed
+    refit of one raises at once.
     """
     check_integer("seed", seed, 0)
     fixed = None
@@ -397,27 +465,26 @@ def _statistics(scheme, fit, dataset, b, seed, path, exhaustive=False, force_ide
     elif force_identity:
         fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
-    path = (*path, RESAMPLING_LANE)
+    path, m = (*path, RESAMPLING_LANE), dataset.m
     for lo in range(0, b, _CHUNK):
         hi = min(lo + _CHUNK, b)
         if fixed is None:
             rows = _draw(kernel, hi - lo, seed, *path, lo // _CHUNK, share=True)
         else:
             rows = kernel.base[fixed[lo:hi]]
-        stats, ok = kernel.evaluate(rows)
+        out, ok = _evaluate(kernel, rows, m, full)
         failed = np.flatnonzero(~ok)
         for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
             if fixed is not None or not failed.size:
                 break
             retry = [_draw(kernel, 1, seed, *path, lo + i, attempt) for i in failed]
-            retry_stats, ok = kernel.evaluate(np.vstack(retry))
-            stats[failed] = retry_stats
+            out[failed], ok = _evaluate(kernel, np.vstack(retry), m, full)
             failed = failed[~ok]
         if failed.size:
             r = lo + int(failed[0])
             how = "to refit" if fixed is not None else f"after {MAX_REPLICATE_RETRIES} retries"
             raise ReplicateFailureError(f"replicate {r} failed {how}", replicate=r)
-        yield stats
+        yield out
 
 
 def replicate_statistics(
@@ -427,23 +494,26 @@ def replicate_statistics(
 
     ``b`` replicates are drawn in blocks of ``_CHUNK`` from the resampling
     lane of the dataset that ``stream_path`` names (``rng`` lays out the
-    keys); the blocks run serially in replicate order. ``exhaustive``
+    keys); the blocks run serially in replicate order, and each keeps only
+    its rows' running maxima across the marker blocks. ``exhaustive``
     enumerates all permutations (tiny problems only; ``b`` is ignored) and
     ``force_identity`` replaces every draw with the identity
     permutation/resample; both are test hooks.
     """
     blocks = _statistics(scheme, fit, dataset, b, seed, stream_path, exhaustive, force_identity)
-    maxima = np.concatenate([np.max(np.abs(s), axis=1) for s in blocks])
+    maxima = np.concatenate(list(blocks))
     return MaxTDistribution(np.sort(maxima), len(maxima), scheme, seed, exhaustive=exhaustive)
 
 
 def replicate_matrix(scheme, fit, dataset, b, seed, *, stream_path=()):
     """Full (b, m) matrix of replicate statistics.
 
-    Diagnostic helper: the blocks of ``replicate_statistics`` stacked
-    without the reduction to maxima, so row r is replicate r.
+    Diagnostic helper: the replicates of ``replicate_statistics`` with
+    their marker blocks stacked instead of reduced to maxima, so row r is
+    replicate r.
     """
-    return np.vstack(list(_statistics(scheme, fit, dataset, b, seed, stream_path)))
+    blocks = _statistics(scheme, fit, dataset, b, seed, stream_path, full=True)
+    return np.vstack(list(blocks))
 
 
 def _exceedance(dist, values):

@@ -8,9 +8,9 @@ Each marker j is tested against the null fit with the statistic
 where H is the weighted hat projection of the null fit. The dispersion
 cancels between numerator and denominator, so only the variance diagonal
 needs estimating. Denominators depend on the design alone. They are
-computed once for the observed statistics and once per resampling scheme,
-then shared across all of that scheme's replicates; only the binomial
-bootstrap recomputes them on every replicate.
+computed once per fit and read-only genotype matrix, cached on the fit and
+shared by the observed statistics and every resampling scheme's
+replicates; only the binomial bootstrap recomputes them on every replicate.
 """
 
 import math
@@ -70,7 +70,14 @@ def score_denominators(fit, x_g):
 
     Raises DegenerateMarkerError when a marker is constant or lies in the
     span of the weighted covariates, naming the first offending marker.
+    The read-only result for the first read-only ``x_g`` that owns its
+    memory (as ``Dataset.x_g`` does) is cached on ``fit`` and served
+    whenever that same array, still read-only, comes back; any other
+    matrix, a view included, is computed afresh.
     """
+    cached = fit._denom_cache
+    if cached is not None and cached[0] is x_g and not x_g.flags.writeable:
+        return cached[1]
     a = _weighted_markers(fit, x_g)
     projected = fit.hat_basis.T @ a
     norm_sq = np.einsum("ij,ij->j", a, a)
@@ -82,7 +89,12 @@ def score_denominators(fit, x_g):
             "with the covariates)",
             marker=int(bad[0]),
         )
-    return np.sqrt(denom_sq)
+    denom = np.sqrt(denom_sq)
+    owned = isinstance(x_g, np.ndarray) and x_g.base is None
+    if cached is None and owned and not x_g.flags.writeable:
+        denom.flags.writeable = False
+        object.__setattr__(fit, "_denom_cache", (x_g, denom))
+    return denom
 
 
 def score_statistics(fit, x_g):

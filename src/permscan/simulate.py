@@ -98,11 +98,14 @@ def _draw_alleles(gen, n, root, threshold):
     """One DNA copy for all individuals: dichotomized correlated normals.
 
     ``root`` is the ``(a, c)`` pair of ``correlation_factor``; each row z
-    becomes (a I + c J) z = a z + c sum(z).
+    becomes (a I + c J) z = a z + c sum(z), formed in the draws' own buffer.
     """
     a, c = root
     z = gen.standard_normal((n, threshold.size))
-    return a * z + c * z.sum(axis=1, keepdims=True) < threshold
+    shift = c * z.sum(axis=1, keepdims=True)
+    z *= a
+    z += shift
+    return z < threshold
 
 
 def simulate_genotypes(config, *, stream_path=()):

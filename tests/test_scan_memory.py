@@ -1,0 +1,34 @@
+"""Tests for tools/scan_memory.py, which measures replicate_statistics."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "scan_memory.py"
+
+
+def _scan_memory(*args):
+    return subprocess.run(
+        [sys.executable, str(TOOL), *map(str, args)], capture_output=True, text=True
+    )
+
+
+def test_one_json_line_per_scheme():
+    schemes = ["standardized-residuals", "parametric-bootstrap"]
+    done = _scan_memory(30, 5, 20, *schemes)
+    assert done.returncode == 0, done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    assert [record["scheme"] for record in records] == schemes
+    for record in records:
+        assert (record["n"], record["m"], record["b"]) == (30, 5, 20)
+        assert record["seconds"] >= 0
+        assert record["traced_peak_mib"] >= 0
+        assert record["max_rss_mb"] > 0
+
+
+def test_missing_arguments_print_the_usage():
+    done = _scan_memory(30, 5)
+    assert done.returncode == 2
+    assert not done.stdout and "scan_memory.py N M B SCHEME" in done.stderr

@@ -16,6 +16,7 @@ from permscan import (
     score_denominators,
     score_statistics,
 )
+from permscan import score
 from permscan.score import two_sided_p
 
 
@@ -169,3 +170,65 @@ def test_two_sided_p_matches_scipy_normal_tail():
     kept = reference > 1e-300
     ours = np.array([two_sided_p(v) for v in t[kept]])
     assert_allclose(ours, reference[kept], rtol=1e-12, atol=0)
+
+
+class TestDenominatorCache:
+    """score_denominators caches its result on the fit for the first
+    read-only genotype matrix and serves it only for that same matrix."""
+
+    @staticmethod
+    def _fit(read_only):
+        y, x_e, x_g = _binomial_instance(seed=11)
+        x_g.flags.writeable = not read_only
+        return fit_null(Family.BINOMIAL, y, x_e), x_g
+
+    def test_the_same_read_only_matrix_is_served_from_the_cache(self, monkeypatch):
+        fit, x_g = self._fit(read_only=True)
+        first = score_denominators(fit, x_g)
+        assert not first.flags.writeable
+        assert np.array_equal(first, score_denominators(fit, x_g.copy()))
+
+        def recomputed(*args):
+            pytest.fail("cached denominators were recomputed")
+
+        monkeypatch.setattr(score, "_weighted_markers", recomputed)
+        assert score_denominators(fit, x_g) is first
+        assert score_statistics(fit, x_g).denom is first
+
+    def test_a_writable_matrix_is_recomputed_after_a_change(self):
+        fit, x_g = self._fit(read_only=False)
+        before = score_denominators(fit, x_g)
+        x_g[:, 0] = x_g[:, 1]
+        assert_allclose(score_denominators(fit, x_g)[0], before[1], rtol=1e-12)
+
+    def test_a_matrix_made_writable_again_is_recomputed(self):
+        fit, x_g = self._fit(read_only=True)
+        before = score_denominators(fit, x_g)
+        x_g.flags.writeable = True
+        x_g[:, 0] = x_g[:, 1]
+        assert_allclose(score_denominators(fit, x_g)[0], before[1], rtol=1e-12)
+
+    def test_a_read_only_view_of_a_writable_array_is_not_cached(self):
+        fit, x_g = self._fit(read_only=False)
+        view = x_g[:]
+        view.flags.writeable = False
+        before = score_denominators(fit, view)
+        x_g[:, 0] = x_g[:, 1]
+        assert_allclose(score_denominators(fit, view)[0], before[1], rtol=1e-12)
+
+    def test_another_matrix_is_computed_and_leaves_the_cache(self):
+        fit, x_g = self._fit(read_only=True)
+        first = score_denominators(fit, x_g)
+        reversed_g = x_g[:, ::-1].copy()
+        reversed_g.flags.writeable = False
+        assert_allclose(score_denominators(fit, reversed_g), first[::-1], rtol=1e-12)
+        assert score_denominators(fit, x_g) is first
+
+    def test_a_replaced_fit_does_not_inherit_the_cache(self):
+        fit, x_g = self._fit(read_only=True)
+        score_denominators(fit, x_g)
+        reweighted = dataclasses.replace(
+            fit, variance_diag=fit.variance_diag * np.linspace(0.5, 2.0, fit.n)
+        )
+        expected = score_denominators(reweighted, x_g.copy())
+        assert np.array_equal(score_denominators(reweighted, x_g), expected)

@@ -314,3 +314,16 @@ class TestRealFields:
         config = SimulationConfig(n=10, m=2, family=Family.NORMAL, **values)
         for name, value in values.items():
             assert getattr(config, name) is value
+
+
+def test_allele_draw_matches_the_closed_form_root():
+    # The in-place a z + c sum(z) gives the bits of the plain expression.
+    from permscan.rng import substream
+
+    config = SimulationConfig(n=50, m=40, family=Family.NORMAL, rho=0.6)
+    root = correlation_factor(config.m, config.rho)
+    threshold = np.linspace(-1.5, 0.0, config.m)
+    draws = simulate._draw_alleles(substream(5, 1), config.n, root, threshold)
+    z = substream(5, 1).standard_normal((config.n, config.m))
+    a, c = root
+    assert np.array_equal(draws, a * z + c * z.sum(axis=1, keepdims=True) < threshold)
