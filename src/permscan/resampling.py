@@ -39,10 +39,11 @@ for one. It is one of two kinds:
 * a binomial refit: the row fit is one batch IRLS of the whole block, of
   the mean only against the observed denominators (raw-y), or of the mean
   and weights (bootstrap), whose marker map also takes each row's
-  denominators of its columns. The bootstrap's per-row x_e' W x_e is taken
-  once per block, x_e' W x_g is one matrix product per marker block, and
-  y - mu_hat is formed in the IRLS's own buffer. A binomial bootstrap row
-  is written as 0/1 floats into the buffer of the uniforms it compares.
+  denominators of its columns. The bootstrap has each row's x_e' W x_e
+  factored and the covariates whitened once per row fit; each marker block
+  is one product and a sum of squares. y - mu_hat is formed in the IRLS's
+  own buffer. A binomial bootstrap row is written as 0/1 floats into the
+  buffer of the uniforms it compares.
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
@@ -76,7 +77,7 @@ from .errors import (
     ReplicateFailureError,
     check_integer,
 )
-from .glm import Family, batch_solve, binomial_irls, fit_null, outer_rows
+from .glm import Family, binomial_irls, fit_null, outer_rows
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
 from .score import DEGENERATE_TOL, degenerate, score_denominators, two_sided_p
 
@@ -345,29 +346,52 @@ def _binomial_refit(x_e, x_g, denom):
 
 def _refit_weights(x_e, mu):
     """Marker-free half of the refit denominators of each row of fitted
-    probabilities ``mu``: the stacked x_e' W x_e systems and the (rows, d, n)
-    weighted covariates. Slice 0 is the weights w themselves, which needs
-    x_e[:, 0] to be the intercept column of ones that ``Dataset`` checks."""
+    probabilities ``mu``: the covariates whitened against x_e' W x_e, the
+    pivot l_00 of its Cholesky factor L and the mask of rows whose factor
+    exists.
+
+    The (d, rows, n) array holds v = L^-1 x_e' W, except slice 0, which is
+    the weights w themselves: x_e[:, 0] is the intercept column of ones that
+    ``Dataset`` checks, so row 0 of L^-1 is (1/l_00, 0, ...) and v_0 is
+    w / l_00. A row whose pivot is not positive and finite is masked out and
+    gets the placeholder pivot 1, so every factor stays finite.
+    """
     (rows, n), d = mu.shape, x_e.shape[1]
-    weighted = np.empty((rows, d, n))
-    w = np.subtract(1.0, mu, out=weighted[:, 0, :])
+    whitened = np.empty((d, rows, n))
+    w = np.subtract(1.0, mu, out=whitened[0])
     w *= mu
-    np.multiply(w[:, None, :], x_e.T[1:], out=weighted[:, 1:, :])
     a = (w @ outer_rows(x_e)).reshape(rows, d, d)
-    return a, weighted
+    chol, inv = np.zeros_like(a), np.zeros_like(a)
+    ok = np.ones(rows, dtype=bool)
+    for j in range(d):
+        pivot = a[:, j, j] - np.einsum("bk,bk->b", chol[:, j, :j], chol[:, j, :j])
+        regular = np.isfinite(pivot) & (pivot > 0)
+        ok &= regular
+        l_jj = np.sqrt(np.where(regular, pivot, 1.0))
+        chol[:, j, j], inv[:, j, j] = l_jj, 1.0 / l_jj
+        below = a[:, j + 1 :, j] - np.einsum("bik,bk->bi", chol[:, j + 1 :, :j], chol[:, j, :j])
+        chol[:, j + 1 :, j] = below / l_jj[:, None]
+        inv[:, j, :j] = -np.einsum("bk,bki->bi", chol[:, j, :j], inv[:, :j, :j]) / l_jj[:, None]
+    # Slice i >= 1 is w times row i of L^-1 applied to x_e: one product.
+    rows_of_inv = inv[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)
+    np.matmul(rows_of_inv, x_e.T, out=whitened[1:].reshape(-1, n))
+    whitened[1:] *= w
+    return whitened, chol[:, 0, 0], ok
 
 
 def _refit_block_denominators(weights, x_cols):
     """Score denominators of the marker columns ``x_cols`` for every row of
     ``_refit_weights`` and the mask of rows with a regular system and no
-    degenerate marker among them. x_e' W x_g is one (rows * d, n) product."""
-    a, weighted = weights
-    rows, d, n = weighted.shape
-    cross = (weighted.reshape(rows * d, n) @ x_cols).reshape(rows, d, -1)
-    term1 = weighted[:, 0, :] @ (x_cols**2)
-    sol, ok = batch_solve(a, cross)
-    denom_sq = term1 - np.einsum("bij,bij->bj", cross, sol)
-    ok &= ~degenerate(denom_sq, term1).any(axis=1)
+    degenerate marker among them. With v = L^-1 x_e' W, the score variance
+    a' (I - H) a is ||W^1/2 x||^2 - ||v x||^2: one (d * rows, n) product
+    and a sum of squares, with no solve."""
+    whitened, l00, ok = weights
+    d, rows, n = whitened.shape
+    cross = (whitened.reshape(d * rows, n) @ x_cols).reshape(d, rows, -1)
+    term1 = whitened[0] @ (x_cols**2)
+    cross[0] /= l00[:, None]
+    denom_sq = term1 - np.einsum("irj,irj->rj", cross, cross)
+    ok = ok & ~degenerate(denom_sq, term1).any(axis=1)
     np.maximum(denom_sq, DEGENERATE_TOL**2, out=denom_sq)
     return np.sqrt(denom_sq, out=denom_sq), ok
 

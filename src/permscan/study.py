@@ -17,7 +17,6 @@ import hashlib
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -223,6 +222,14 @@ def _dataset_alpha_hats(config, k):
         exc.args = (f"dataset {k}: {exc}",)
         raise
     return k, alpha_hats, seconds, [w.message for w in caught]
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported on first call so
+    that a process that starts no pool never loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor as executor
+
+    return executor(*args, **kwargs)
 
 
 def run_study(config):

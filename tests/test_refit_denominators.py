@@ -1,0 +1,117 @@
+"""Tests for the binomial bootstrap's refit denominators: x_e' W x_e is
+factored once per row fit, and each marker block's denominators are one
+product with the whitened covariates and a sum of squares."""
+
+import warnings
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from permscan import (
+    Family,
+    ResamplingScheme,
+    fit_null,
+    replicate_matrix,
+    replicate_statistics,
+)
+from permscan import glm, resampling
+from permscan.glm import Dataset, expit
+from permscan.score import score_denominators
+
+BOOTSTRAP = ResamplingScheme.PARAMETRIC_BOOTSTRAP
+
+
+def _dataset(d, n=150, m=7, seed=3, indicator=0):
+    """Binomial dataset with d - 1 covariates. With ``indicator`` > 0 the
+    first covariate is 1 on the first ``indicator`` observations, else 0."""
+    gen = np.random.default_rng(seed)
+    covariates = gen.normal(size=(n, d - 1))
+    if indicator:
+        covariates[:, 0] = np.arange(n) < indicator
+    x_e = np.column_stack([np.ones(n), covariates])
+    mu = expit(x_e @ np.linspace(-0.3, 0.4, d))
+    y = (gen.random(n) < mu).astype(float)
+    x_g = gen.binomial(2, 0.3, size=(n, m)).astype(float)
+    return Dataset(y, x_e, x_g)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_denominators_match_fit_null_per_row(d):
+    # The benchmark's datasets have d = 2; intercept-only and two-covariate
+    # designs take the other branches of the factor's column loop.
+    dataset = _dataset(d)
+    gen = np.random.default_rng(40 + d)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    rows = (gen.random((20, dataset.n)) < fit.mu_e).astype(float)
+    fits = [fit_null(Family.BINOMIAL, row, dataset.x_e) for row in rows]
+    mu = np.vstack([row_fit.mu_e for row_fit in fits])
+    denom, ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu)
+    expected = np.vstack([score_denominators(row_fit, dataset.x_g) for row_fit in fits])
+    assert ok.all()
+    assert_allclose(denom, expected, rtol=1e-10, atol=0)
+
+
+def test_an_exactly_singular_row_is_flagged_without_warnings():
+    # mu of row 2 is exactly 0 on the indicator's support, so its weights
+    # vanish there and x_e' W x_e has a zero row and column.
+    dataset = _dataset(3, indicator=12)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    mu = np.tile(fit.mu_e, (5, 1))
+    mu += np.linspace(-0.02, 0.02, 5)[:, None]
+    mu[2, :12] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        denom, ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu)
+    assert ok.tolist() == [True, True, False, True, True]
+    assert np.isfinite(denom).all()
+    regular = [0, 1, 3, 4]
+    alone, alone_ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu[regular])
+    assert alone_ok.all()
+    assert_allclose(denom[regular], alone, rtol=1e-12, atol=0)
+
+
+def test_a_bootstrap_redraws_a_replicate_whose_system_is_singular(monkeypatch):
+    # Replicate 5's refit is made exactly singular after the IRLS, which
+    # still reports it as a good fit; only the factor can reject it.
+    dataset = _dataset(3, n=200, m=9, indicator=15)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    plain = replicate_matrix(BOOTSTRAP, fit, dataset, 600, seed=8)
+    real, batches = resampling.binomial_irls, []
+
+    def singular_row_five(x_e, ys):
+        irls = real(x_e, ys)
+        if not batches:
+            irls.mu[5, :15] = 0.0
+        batches.append(len(ys))
+        return irls
+
+    monkeypatch.setattr(resampling, "binomial_irls", singular_row_five)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        redrawn = replicate_matrix(BOOTSTRAP, fit, dataset, 600, seed=8)
+    assert batches == [600, 1]
+    others = np.arange(600) != 5
+    assert np.array_equal(redrawn[others], plain[others])
+    assert np.isfinite(redrawn[5]).all()
+    assert not np.array_equal(redrawn[5], plain[5])
+
+
+def test_the_marker_map_solves_no_system(monkeypatch):
+    # Only the IRLS's Newton steps solve, against one (rows, d) vector each.
+    dataset = _dataset(2, n=120, m=700)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    real, shapes = glm.batch_solve, []
+
+    def vector_solves_only(a, rhs):
+        shapes.append(rhs.shape)
+        return real(a, rhs)
+
+    def no_solve(*args):
+        raise AssertionError("the bootstrap's marker map solved a system")
+
+    monkeypatch.setattr(resampling, "batch_solve", no_solve, raising=False)
+    monkeypatch.setattr(glm, "batch_solve", vector_solves_only)
+    dist = replicate_statistics(BOOTSTRAP, fit, dataset, 300, seed=2)
+    assert np.isfinite(dist.max_stats).all()
+    assert shapes and all(shape[1:] == (2,) for shape in shapes)
