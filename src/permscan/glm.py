@@ -50,13 +50,25 @@ class Family(enum.Enum):
         return mu * (1.0 - mu)
 
 
+def all_counts(x):
+    """True when every entry of ``x`` is 0, 1 or 2, on its own dtype. An
+    integer or bool matrix is checked by its range: ``np.isin`` would take
+    an intp index per entry, eight times an int8 matrix."""
+    if x.dtype.kind in "biu":
+        return x.size == 0 or (x.min() >= 0 and x.max() <= 2)
+    return bool(np.isin(x, (0, 1, 2)).all())
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Phenotype, covariate design and genotype matrix for one sample.
 
     ``y`` and ``x_e`` are finite. ``x_e`` is n x d with a constant-1
     intercept as its first column and must have full column rank. ``x_g``
-    is n x m with additive minor-allele counts in {0, 1, 2}.
+    is n x m with additive minor-allele counts in {0, 1, 2}, checked on the
+    input's own dtype and stored as a C-contiguous int8 matrix, an eighth of
+    its float64 size; every consumer converts one block of marker columns
+    to float at a time. All three arrays are read-only.
     """
 
     y: np.ndarray
@@ -66,7 +78,7 @@ class Dataset:
     def __post_init__(self):
         y = np.ascontiguousarray(self.y, dtype=float)
         x_e = np.ascontiguousarray(self.x_e, dtype=float)
-        x_g = np.ascontiguousarray(self.x_g, dtype=float)
+        x_g = np.asarray(self.x_g)
         if y.ndim != 1 or x_e.ndim != 2 or x_g.ndim != 2:
             raise ValueError("y must be a vector; x_e and x_g must be matrices")
         n = y.shape[0]
@@ -82,8 +94,10 @@ class Dataset:
             raise ValueError("first column of x_e must be the constant 1 intercept")
         if np.linalg.matrix_rank(x_e) < d:
             raise SingularDesignError("covariate design x_e is rank deficient")
-        if not np.isin(x_g, (0.0, 1.0, 2.0)).all():
+        # Checked before the cast, which would wrap 258 to 2.
+        if not all_counts(x_g):
             raise ValueError("genotype entries must be 0, 1 or 2")
+        x_g = np.ascontiguousarray(x_g, dtype=np.int8)
         for arr, name in ((y, "y"), (x_e, "x_e"), (x_g, "x_g")):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

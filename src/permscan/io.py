@@ -6,19 +6,21 @@ covariates (the intercept is prepended on ingestion), and a genotype file
 of 0/1/2 minor-allele counts. Floats are written with ``repr`` so a
 write/read round trip is bitwise exact.
 
-Genotype files are read and written as byte tables. The reader
-loads the file with ``np.fromfile`` and, when every body line is m single
-digits 0-2 separated by commas and every line (the last one included) ends
-in the header's terminator (``\n`` or ``\r\n``), reshapes the body into
-an (n, 2m-1+len(eol)) byte table and checks its digit, comma and terminator
-columns with vector compares. The header is still parsed by ``csv.reader``
-and must be plain ASCII on one line with m fields. Any other file (quoted or
-padded cells, ``2.0``, blank lines, ragged rows, a missing final newline,
-bad values, no body) is read cell by cell, so every ``ParseError`` message,
-row and column is the cell-wise path's. The writer emits an all-{0, 1, 2}
-matrix as one uint8 table of digits, commas and ``\r\n``, the bytes
-``csv.writer`` writes for ``str(int(v))`` cells, and rejects any other
-matrix with a ``ValueError``.
+Genotype files are read and written as byte tables. The reader loads the
+file with ``np.fromfile`` and, when every body line is m single digits 0-2
+separated by commas and every line (the last one included) ends in the
+header's terminator (``\n`` or ``\r\n``), reshapes the body into an (n,
+2m-1+len(eol)) byte table and checks its digit, comma and terminator
+columns with vector compares; the digits become the int8 counts that
+``Dataset.x_g`` stores, with no float copy. The header is still parsed by
+``csv.reader`` and must be plain ASCII on one line with m fields. Any other
+file (quoted or padded cells, ``2.0``, blank lines, ragged rows, a missing
+final newline, bad values, no body) is read cell by cell, so every
+``ParseError`` message, row and column is the cell-wise path's; its floats
+are checked, then narrowed to int8. The writer emits an all-{0, 1, 2}
+matrix of any numeric dtype (int8 included) as one uint8 table of digits,
+commas and ``\r\n``, the bytes ``csv.writer`` writes for ``str(int(v))``
+cells, and rejects any other matrix with a ``ValueError``.
 """
 
 import csv
@@ -28,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import ConsistencyError, ParseError
-from .glm import Dataset
+from .glm import Dataset, all_counts
 
 __all__ = [
     "read_phenotype",
@@ -107,7 +109,8 @@ _COMMA, _ZERO, _CR, _LF = b",0\r\n"
 
 
 def _read_count_table(path):
-    """(names, matrix) of a genotype file in the byte-table shape, else None."""
+    """(names, int8 matrix) of a genotype file in the byte-table shape, else
+    None."""
     try:
         data = np.fromfile(path, np.uint8)
     except OSError:
@@ -131,18 +134,22 @@ def _read_count_table(path):
     if not body.size or body.size % width:
         return None
     table = body.reshape(-1, width)
-    counts = table[:, : 2 * m - 1 : 2] - np.uint8(_ZERO)
+    # The digits less '0', written as bytes into the int8 matrix returned:
+    # any byte but '0', '1' or '2' gives a value above 2 read as uint8.
+    counts = np.empty((len(table), m), np.int8)
+    np.subtract(table[:, : 2 * m - 1 : 2], np.uint8(_ZERO), out=counts.view(np.uint8))
     if (
-        np.any(counts > 2)
+        np.any(counts.view(np.uint8) > 2)
         or np.any(table[:, 1 : 2 * m - 1 : 2] != _COMMA)
         or np.any(table[:, 2 * m - 1 :] != eol)
     ):
         return None
-    return [name.strip() for name in header], counts.astype(float)
+    return [name.strip() for name in header], counts
 
 
 def read_genotypes(path):
-    """Read the genotype matrix, validating every entry is 0, 1 or 2."""
+    """Read the genotype matrix as int8 counts, validating every entry is 0,
+    1 or 2 before it is narrowed."""
     fast = _read_count_table(path)
     if fast is not None:
         return fast
@@ -156,7 +163,7 @@ def read_genotypes(path):
             row=row,
             column=col,
         )
-    return [name.strip() for name in header], values
+    return [name.strip() for name in header], values.astype(np.int8)
 
 
 def ingest(phenotype_path, genotype_path, covariate_path=None):
@@ -227,8 +234,8 @@ def _count_table(x_g):
         )
     if x_g.dtype.kind not in "biuf":
         raise ValueError(f"genotypes must be numeric, got dtype {x_g.dtype}")
-    bad = np.argwhere(~np.isin(x_g, (0, 1, 2)))
-    if bad.size:
+    if not all_counts(x_g):
+        bad = np.argwhere(~np.isin(x_g, (0, 1, 2)))
         row, col = int(bad[0, 0]) + 1, int(bad[0, 1]) + 1
         raise ValueError(
             f"genotype value {x_g[row - 1, col - 1]:g} at row {row}, column {col} "

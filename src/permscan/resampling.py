@@ -35,15 +35,20 @@ for one. It is one of two kinds:
   (I - H) x_g / denom. The normal bootstrap statistic depends on neither
   mu_e nor phi_hat: it is z (I - H) x_g / unit_denom with each row divided
   by its residual standard error ||(I - H) z|| / sqrt(n - d), which is its
-  row fit;
+  row fit. Each map is built one marker block at a time from the int8
+  ``x_g`` and dropped after its block, so no n x m float matrix is held.
+  Modified-model is the exception: its Q' x_g takes all n rows of every
+  column through the dense residual basis Q, so its (n - d) x m map is
+  built once per replicate call;
 * a binomial refit: the row fit is one batch IRLS of the whole block, of
   the mean only against the observed denominators (raw-y), or of the mean
   and weights (bootstrap), whose marker map also takes each row's
   denominators of its columns. The bootstrap has each row's x_e' W x_e
   factored and the covariates whitened once per row fit; each marker block
   is one product and a sum of squares. y - mu_hat is formed in the IRLS's
-  own buffer. A binomial bootstrap row is written as 0/1 floats into the
-  buffer of the uniforms it compares.
+  own buffer, and the drawn rows are released once the row fit has run.
+  A binomial bootstrap row is written as 0/1 floats into the buffer of the
+  uniforms it compares.
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
@@ -79,7 +84,14 @@ from .errors import (
 )
 from .glm import Family, binomial_irls, fit_null, outer_rows
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
-from .score import DEGENERATE_TOL, degenerate, score_denominators, two_sided_p
+from .score import (
+    DEGENERATE_TOL,
+    MARKER_BLOCK,
+    degenerate,
+    marker_blocks,
+    score_denominators,
+    two_sided_p,
+)
 
 __all__ = [
     "ResamplingScheme",
@@ -107,8 +119,9 @@ MC_BOOTSTRAPS = 100
 # changes every draw. Fixed blocks keep replicate r the same for any b.
 _CHUNK = 1024
 # Marker columns a replicate block maps at a time, so a scan holds
-# (rows, _MARKER_BLOCK) statistics and running row maxima, never (rows, m).
-_MARKER_BLOCK = 512
+# (rows, _MARKER_BLOCK) statistics and running row maxima, never (rows, m),
+# and builds float marker maps one block at a time from the int8 x_g.
+_MARKER_BLOCK = MARKER_BLOCK
 
 
 class ResamplingScheme(enum.Enum):
@@ -195,13 +208,12 @@ class McAlphaLoc(NamedTuple):
     c: float
 
 
-def exchangeable_transform(scheme, fit, dataset):
-    """Build the (y_tilde, x_tilde) pair whose permutations reproduce the
-    scheme's replicate statistics with fixed denominators.
-
-    Refit-per-replicate schemes (raw-y, parametric bootstrap) have no fixed
-    transform and are rejected here.
-    """
+def _transform(scheme, fit, dataset):
+    """The permuted vector ``y_tilde`` of a transform scheme and the
+    function that builds the columns ``cols`` of its ``x_tilde`` from the
+    int8 ``x_g`` alone. Modified-model's map, Q' x_g / denom, takes all n
+    rows of each column through the dense Q, so its whole (n - d) x m map
+    is built here, one block of x_g at a time, and sliced."""
     if scheme.refits_per_replicate:
         raise ConfigError(
             f"scheme {scheme.value!r} refits per replicate and has no fixed "
@@ -224,25 +236,47 @@ def exchangeable_transform(scheme, fit, dataset):
             "theory; the standardized-residuals scheme is the intended "
             "analogue for this family",
             UserWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     denom = score_denominators(fit, dataset.x_g)
-    x_g = dataset.x_g
+    x_g, scale = dataset.x_g, None
     if scheme is ResamplingScheme.FREEDMAN_LANE:
-        y_t, x_t = dataset.y - fit.hat_apply(dataset.y), x_g
+        y_t = dataset.y - fit.hat_apply(dataset.y)
     elif scheme is ResamplingScheme.MODIFIED_MODEL:
         q = fit.q_factor()
-        y_t, x_t = q.T @ dataset.y, q.T @ x_g
+        x_t = np.empty((n - d, m))
+        for cols in marker_blocks(m, _MARKER_BLOCK):
+            x_t[:, cols] = q.T @ x_g[:, cols]
+        x_t /= denom
+        return q.T @ dataset.y, lambda cols: x_t[:, cols]
     elif scheme is ResamplingScheme.STANDARDIZED_RESIDUALS:
-        root_var = np.sqrt(fit.variance_diag)
-        y_t, x_t = fit.residuals / root_var, root_var[:, None] * x_g
+        scale = np.sqrt(fit.variance_diag)[:, None]
+        y_t = fit.residuals / scale[:, 0]
     else:  # FULL_MODEL_RESIDUALS
-        full = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g]))
-        y_t, x_t = full.residuals, x_g
-    if x_t is x_g:
-        x_t = x_g / denom
-    else:
-        x_t /= denom  # a fresh array, scaled in place
+        y_t = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g])).residuals
+
+    def x_block(cols):
+        if scale is None:
+            return x_g[:, cols] / denom[cols]
+        x_t = scale * x_g[:, cols]
+        x_t /= denom[cols]
+        return x_t
+
+    return y_t, x_block
+
+
+def exchangeable_transform(scheme, fit, dataset):
+    """Build the (y_tilde, x_tilde) pair whose permutations reproduce the
+    scheme's replicate statistics with fixed denominators.
+
+    ``x_tilde`` is stacked from the marker blocks that resampling maps one
+    at a time. Refit-per-replicate schemes (raw-y, parametric bootstrap)
+    have no fixed transform and are rejected here.
+    """
+    y_t, x_block = _transform(scheme, fit, dataset)
+    x_t = np.empty((len(y_t), dataset.m))
+    for cols in marker_blocks(dataset.m, _MARKER_BLOCK):
+        x_t[:, cols] = x_block(cols)
     return Transform(y_tilde=y_t, x_tilde=x_t)
 
 
@@ -295,8 +329,8 @@ def _draw(kernel, rows, seed, *path, share=False):
     return kernel.base[blocks[key]]
 
 
-def _linear(x_map, hat_basis=None):
-    """Row fit whose marker map is ``rows @ x_map[:, cols]``. Given
+def _linear(x_block, hat_basis=None):
+    """Row fit whose marker map is ``rows @ x_block(cols)``. Given
     ``hat_basis``, the row fit takes each row's residual standard error
     ||(I - H) row|| / sqrt(n - d), and the map divides each row by it."""
 
@@ -308,7 +342,7 @@ def _linear(x_map, hat_basis=None):
             scale = np.sqrt(np.einsum("bn,bn->b", resid, resid) / (n - d))[:, None]
 
         def marker_map(cols):
-            stats = rows @ x_map[:, cols]
+            stats = rows @ x_block(cols)
             if scale is not None:
                 stats /= scale
             return stats, True
@@ -322,7 +356,8 @@ def _binomial_refit(x_e, x_g, denom):
     """Row fit that refits the binomial null mean on every row by batch
     IRLS. With the observed ``denom`` only the mean is refit; with
     ``denom=None`` the row fit also takes the variance weights, and the
-    marker map each row's denominators of its columns."""
+    marker map each row's denominators of its columns. The map keeps the
+    residuals, formed in the IRLS's own buffer, and not the rows."""
 
     def fit(rows):
         irls = binomial_irls(x_e, rows)
@@ -330,7 +365,7 @@ def _binomial_refit(x_e, x_g, denom):
         resid = np.subtract(rows, irls.mu, out=irls.mu)
 
         def marker_map(cols):
-            x_cols = x_g[:, cols]
+            x_cols = x_g[:, cols].astype(float)
             if weights is None:
                 row_denom, ok = denom[cols], True
             else:
@@ -410,24 +445,39 @@ def _bernoulli_rows(gen, rows, mu_e):
     return np.less(u, mu_e, out=u, casting="unsafe")
 
 
+def _residual_markers(fit, x_g, denom, bootstrap):
+    """Marker block map (I - H) x_g[:, cols] of the normal raw-y and
+    bootstrap, divided by the observed denominators (raw-y) or by its own
+    column norms (bootstrap)."""
+
+    def x_block(cols):
+        x_cols = x_g[:, cols]
+        resid_x = x_cols - fit.hat_apply(x_cols)
+        if bootstrap:
+            resid_x /= np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
+        else:
+            resid_x /= denom[cols]
+        return resid_x
+
+    return x_block
+
+
 def _kernel(scheme, fit, dataset):
     """Base row, draw and row fit of ``scheme`` on ``dataset``."""
     if not scheme.refits_per_replicate:
-        transform = exchangeable_transform(scheme, fit, dataset)
-        return _Kernel(transform.y_tilde, None, _linear(transform.x_tilde))
+        y_tilde, x_block = _transform(scheme, fit, dataset)
+        return _Kernel(y_tilde, None, _linear(x_block))
     x_g, n = dataset.x_g, dataset.n
     denom = score_denominators(fit, x_g)  # rejects degenerate markers up front
     bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
     if fit.family is Family.NORMAL:
-        resid_x = x_g - fit.hat_apply(x_g)
+        x_block = _residual_markers(fit, x_g, denom, bootstrap)
         if not bootstrap:
-            resid_x /= denom
-            return _Kernel(dataset.y, None, _linear(resid_x))
-        resid_x /= np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
+            return _Kernel(dataset.y, None, _linear(x_block))
         return _Kernel(
             fit.residuals / math.sqrt(fit.phi_hat),
             lambda gen, rows: gen.standard_normal((rows, n)),
-            _linear(resid_x, fit.hat_basis),
+            _linear(x_block, fit.hat_basis),
         )
     if not bootstrap:
         return _Kernel(dataset.y, None, _binomial_refit(dataset.x_e, x_g, denom))
@@ -442,11 +492,12 @@ def _evaluate(kernel, rows, m, full):
     """Statistics of a block of replicate rows, mapped _MARKER_BLOCK marker
     columns at a time: the (rows, m) matrix if ``full``, else each row's
     running maximum of |t|. Returns them with the mask of rows whose fit
-    succeeded and stayed regular on every column."""
+    succeeded and stayed regular on every column. The rows are released
+    once fit, unless the caller or the marker map holds them."""
     marker_map, ok = kernel.fit(rows)
     out = np.empty((len(rows), m)) if full else np.zeros(len(rows))
-    for lo in range(0, m, _MARKER_BLOCK):
-        cols = slice(lo, lo + _MARKER_BLOCK)
+    del rows
+    for cols in marker_blocks(m, _MARKER_BLOCK):
         stats, cols_ok = marker_map(cols)
         ok &= cols_ok
         if full:
@@ -490,13 +541,16 @@ def _statistics(
         fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
     path, m = (*path, RESAMPLING_LANE), dataset.m
+
+    def block_rows(lo, hi):
+        if fixed is None:
+            return _draw(kernel, hi - lo, seed, *path, lo // _CHUNK, share=True)
+        return kernel.base[fixed[lo:hi]]
+
     for lo in range(0, b, _CHUNK):
         hi = min(lo + _CHUNK, b)
-        if fixed is None:
-            rows = _draw(kernel, hi - lo, seed, *path, lo // _CHUNK, share=True)
-        else:
-            rows = kernel.base[fixed[lo:hi]]
-        out, ok = _evaluate(kernel, rows, m, full)
+        # Passed straight in, so _evaluate can release the rows once fit.
+        out, ok = _evaluate(kernel, block_rows(lo, hi), m, full)
         failed = np.flatnonzero(~ok)
         for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
             if fixed is not None or not failed.size:

@@ -11,6 +11,9 @@ needs estimating. Denominators depend on the design alone. They are
 computed once per fit and read-only genotype matrix, cached on the fit and
 shared by the observed statistics and every resampling scheme's
 replicates; only the binomial bootstrap recomputes them on every replicate.
+The denominators and the observed statistics walk the genotype matrix
+``MARKER_BLOCK`` columns at a time, converting each block to float64, so a
+compact (int8) matrix is never copied whole.
 """
 
 import math
@@ -30,6 +33,8 @@ __all__ = [
 
 DEGENERATE_TOL = 1e-12
 DENSE_CORRELATION_LIMIT = 2000
+# Marker columns converted to float64 at a time.
+MARKER_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -48,10 +53,19 @@ class ScoreCorrelation:
     r: np.ndarray
 
 
-def _weighted_markers(fit, x_g):
-    x_g = np.asarray(x_g, dtype=float)
+def _check_markers(fit, x_g):
+    x_g = np.asarray(x_g)
     if x_g.ndim != 2 or x_g.shape[0] != fit.n:
         raise ValueError(f"x_g must have {fit.n} rows")
+    return x_g
+
+
+def marker_blocks(m, width):
+    """Slices of ``width`` consecutive columns covering m markers."""
+    return [slice(lo, lo + width) for lo in range(0, m, width)]
+
+
+def _weighted_markers(fit, x_g):
     return np.sqrt(fit.variance_diag)[:, None] * x_g
 
 
@@ -70,18 +84,24 @@ def score_denominators(fit, x_g):
 
     Raises DegenerateMarkerError when a marker is constant or lies in the
     span of the weighted covariates, naming the first offending marker.
-    The read-only result for the first read-only ``x_g`` that owns its
-    memory (as ``Dataset.x_g`` does) is cached on ``fit`` and served
-    whenever that same array, still read-only, comes back; any other
+    The weighted markers a_j are formed ``MARKER_BLOCK`` columns at a time,
+    so ``x_g`` of any numeric dtype (``Dataset.x_g`` is int8) is never
+    converted whole. The read-only result for the first read-only ``x_g``
+    that owns its memory (as ``Dataset.x_g`` does) is cached on ``fit`` and
+    served whenever that same array, still read-only, comes back; any other
     matrix, a view included, is computed afresh.
     """
     cached = fit._denom_cache
     if cached is not None and cached[0] is x_g and not x_g.flags.writeable:
         return cached[1]
-    a = _weighted_markers(fit, x_g)
-    projected = fit.hat_basis.T @ a
-    norm_sq = np.einsum("ij,ij->j", a, a)
-    denom_sq = norm_sq - np.einsum("ij,ij->j", projected, projected)
+    markers = _check_markers(fit, x_g)
+    norm_sq, denom_sq = np.empty((2, markers.shape[1]))
+    for cols in marker_blocks(markers.shape[1], MARKER_BLOCK):
+        a = _weighted_markers(fit, markers[:, cols])
+        projected = fit.hat_basis.T @ a
+        norm_sq[cols] = np.einsum("ij,ij->j", a, a)
+        denom_sq[cols] = norm_sq[cols] - np.einsum("ij,ij->j", projected, projected)
+        del a  # before the next block's is formed
     bad = np.flatnonzero(degenerate(denom_sq, norm_sq))
     if bad.size:
         raise DegenerateMarkerError(
@@ -98,10 +118,14 @@ def score_denominators(fit, x_g):
 
 
 def score_statistics(fit, x_g):
-    """Observed standardized score statistics for every marker."""
-    x_g = np.asarray(x_g, dtype=float)
+    """Observed standardized score statistics for every marker, taken
+    ``MARKER_BLOCK`` columns at a time."""
     denom = score_denominators(fit, x_g)
-    t = (x_g.T @ fit.residuals) / denom
+    markers = np.asarray(x_g)
+    t = np.empty(markers.shape[1])
+    for cols in marker_blocks(len(t), MARKER_BLOCK):
+        t[cols] = markers[:, cols].astype(float).T @ fit.residuals
+    t /= denom
     return ScoreStatistics(t=t, denom=denom, max_abs_t=float(np.max(np.abs(t))))
 
 
@@ -116,7 +140,7 @@ def score_correlation(fit, x_g, dense_limit=DENSE_CORRELATION_LIMIT):
     Intended for diagnostics and Monte Carlo cross-checks; refuses to
     materialize above ``dense_limit`` markers.
     """
-    x_g = np.asarray(x_g, dtype=float)
+    x_g = _check_markers(fit, x_g)
     m = x_g.shape[1]
     if m > dense_limit:
         raise SizeLimitError(

@@ -109,7 +109,7 @@ def _draw_alleles(gen, n, root, threshold):
 
 
 def simulate_genotypes(config, *, stream_path=()):
-    """Draw the genotype matrix and its MAF vector.
+    """Draw the int8 genotype matrix and its MAF vector.
 
     Each marker's MAF is drawn once per dataset from ``maf_range``; both DNA
     copies of every individual are dichotomized at the same normal quantile
@@ -125,7 +125,7 @@ def simulate_genotypes(config, *, stream_path=()):
         gen = substream(config.seed, *stream_path, GENOTYPE_LANE, attempt)
         copy_one = _draw_alleles(gen, config.n, root, threshold)
         copy_two = _draw_alleles(gen, config.n, root, threshold)
-        genotypes = (copy_one.astype(np.int8) + copy_two.astype(np.int8)).astype(float)
+        genotypes = copy_one.astype(np.int8) + copy_two.astype(np.int8)
         if np.all(genotypes.min(axis=0) < genotypes.max(axis=0)):
             return genotypes, maf
     raise ConfigError(

@@ -171,3 +171,73 @@ def test_a_scan_weights_its_markers_once(monkeypatch):
     ):
         replicate_statistics(scheme, fit, dataset, 30, seed=2)
     assert len(calls) == 1
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "family, scheme",
+    [
+        (Family.NORMAL, ResamplingScheme.FREEDMAN_LANE),
+        (Family.NORMAL, ResamplingScheme.RAW_Y),
+        (Family.NORMAL, ResamplingScheme.PARAMETRIC_BOOTSTRAP),
+        (Family.BINOMIAL, ResamplingScheme.RAW_Y),
+    ],
+)
+def test_every_per_block_marker_map_keeps_its_peak_off_m(family, scheme):
+    """The bound of test_peak_memory_grows_with_x_g_not_replicates_times_markers,
+    counted in int8 bytes (one a count), for the maps built one marker block
+    at a time from the int8 x_g. Modified-model is left out: its map
+    Q' x_g / denom takes all n rows of every column through the dense Q, so
+    it is held whole, (n - d) x m floats, for the whole replicate call."""
+
+    def peak(m):
+        dataset, fit = _instance(family, n=200, m=m, beta_e=0.5, seed=2, rho=0.5)
+        score_statistics(fit, dataset.x_g)  # as a scan does before resampling
+        call = lambda: replicate_statistics(scheme, fit, dataset, 1024, seed=1)  # noqa: E731
+        return _traced_peak(call), dataset.x_g.size
+
+    (small, small_bytes), (large, large_bytes) = peak(512), peak(4096)
+    assert large - small <= 2 * (large_bytes - small_bytes)
+
+
+def test_full_model_residuals_map_keeps_its_peak_off_m(monkeypatch):
+    """Full-model residuals needs n > m + d, so the m=512 to 4096 sizes of
+    the test above would take n > 4098; this takes n=600 and m=64 to 512, the same
+    eightfold step, in marker blocks of 64 so both sizes span whole blocks.
+    Its joint fit of y on [x_e, x_g] holds the n x (m + d) float design by
+    definition, so it is fit before tracing, and the bound applies to the
+    rest of the scheme."""
+    scheme = ResamplingScheme.FULL_MODEL_RESIDUALS
+    monkeypatch.setattr(resampling, "_MARKER_BLOCK", 64)
+
+    def peak(m):
+        dataset, fit = _instance(Family.NORMAL, n=600, m=m, beta_e=0.5, seed=2, rho=0.5)
+        score_statistics(fit, dataset.x_g)
+        joint = fit_null(Family.NORMAL, dataset.y, np.hstack([dataset.x_e, dataset.x_g]))
+        monkeypatch.setattr(resampling, "fit_null", lambda *args: joint)
+        call = lambda: replicate_statistics(scheme, fit, dataset, 1024, seed=1)  # noqa: E731
+        return _traced_peak(call), dataset.x_g.size
+
+    (small, small_bytes), (large, large_bytes) = peak(64), peak(512)
+    assert large - small <= 2 * (large_bytes - small_bytes)
+
+
+def test_score_statistics_peak_stays_off_m():
+    # The denominators and the observed t walk the int8 x_g in blocks of
+    # score.MARKER_BLOCK columns; only their (m,) results grow with m. The
+    # bound counts one byte a count.
+    def peak(m):
+        dataset, fit = _instance(Family.BINOMIAL, n=200, m=m, beta_e=0.5, seed=2, rho=0.5)
+        return _traced_peak(lambda: score_statistics(fit, dataset.x_g)), dataset.x_g.size
+
+    (small, small_bytes), (large, large_bytes) = peak(512), peak(4096)
+    assert large - small <= 2 * (large_bytes - small_bytes)

@@ -32,3 +32,10 @@ def test_missing_arguments_print_the_usage():
     done = _scan_memory(30, 5)
     assert done.returncode == 2
     assert not done.stdout and "scan_memory.py N M B SCHEME" in done.stderr
+
+
+def test_the_score_statistics_peak_is_reported():
+    done = _scan_memory(30, 5, 20, "raw-y")
+    assert done.returncode == 0, done.stderr
+    (record,) = [json.loads(line) for line in done.stdout.splitlines()]
+    assert 0 <= record["score_peak_mib"] < 1
