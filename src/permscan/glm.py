@@ -68,7 +68,9 @@ class Dataset:
     is n x m with additive minor-allele counts in {0, 1, 2}, checked on the
     input's own dtype and stored as a C-contiguous int8 matrix, an eighth of
     its float64 size; every consumer converts one block of marker columns
-    to float at a time. All three arrays are read-only.
+    to float at a time. All three arrays are read-only. An input that
+    already has the stored dtype and layout is copied if it is writable, so
+    the caller's arrays are never made read-only.
     """
 
     y: np.ndarray
@@ -99,6 +101,12 @@ class Dataset:
             raise ValueError("genotype entries must be 0, 1 or 2")
         x_g = np.ascontiguousarray(x_g, dtype=np.int8)
         for arr, name in ((y, "y"), (x_e, "x_e"), (x_g, "x_g")):
+            # A conversion that changed nothing returns the caller's own
+            # array (or a view of it); a writable one is copied, so that the
+            # caller's array stays writable and no write to it reaches the
+            # dataset. A read-only one is shared as it is.
+            if arr.flags.writeable and np.may_share_memory(arr, getattr(self, name)):
+                arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -195,6 +195,8 @@ def ingest(phenotype_path, genotype_path, covariate_path=None):
         raise ConsistencyError(
             f"{genotype_path} has {x_g.shape[0]} rows but the phenotype has {n}"
         )
+    # Read-only, the matrix is shared by the dataset, not copied.
+    x_g.flags.writeable = False
     return Dataset(y=y, x_e=x_e, x_g=x_g), marker_names
 
 

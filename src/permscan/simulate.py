@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 MONOMORPHIC_RETRIES = 100
+# Normal draws held at once by ``_draw_alleles`` (1 MiB of float64).
+_DRAW_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,22 @@ def _draw_alleles(gen, n, root, threshold):
 
     ``root`` is the ``(a, c)`` pair of ``correlation_factor``; each row z
     becomes (a I + c J) z = a z + c sum(z), formed in the draws' own buffer.
+    The normals are drawn a block of rows at a time into one buffer of
+    about ``_DRAW_BLOCK`` values, so no n x m float array is held; the
+    stream is consumed in the same order and every row is formed alone, so
+    the bits do not depend on the block size.
     """
     a, c = root
-    z = gen.standard_normal((n, threshold.size))
-    shift = c * z.sum(axis=1, keepdims=True)
-    z *= a
-    z += shift
-    return z < threshold
+    m = threshold.size
+    alleles = np.empty((n, m), dtype=bool)
+    block = np.empty((min(n, max(1, _DRAW_BLOCK // m)), m))
+    for start in range(0, n, block.shape[0]):
+        z = gen.standard_normal(out=block[: n - start])
+        shift = c * z.sum(axis=1, keepdims=True)
+        z *= a
+        z += shift
+        np.less(z, threshold, out=alleles[start : start + z.shape[0]])
+    return alleles
 
 
 def simulate_genotypes(config, *, stream_path=()):
@@ -125,7 +136,7 @@ def simulate_genotypes(config, *, stream_path=()):
         gen = substream(config.seed, *stream_path, GENOTYPE_LANE, attempt)
         copy_one = _draw_alleles(gen, config.n, root, threshold)
         copy_two = _draw_alleles(gen, config.n, root, threshold)
-        genotypes = copy_one.astype(np.int8) + copy_two.astype(np.int8)
+        genotypes = np.add(copy_one, copy_two, dtype=np.int8)
         if np.all(genotypes.min(axis=0) < genotypes.max(axis=0)):
             return genotypes, maf
     raise ConfigError(
@@ -154,6 +165,8 @@ def simulate_dataset(config, *, stream_path=()):
     genotypes, maf = simulate_genotypes(config, stream_path=stream_path)
     y = simulate_phenotype(config, covariate, stream_path=stream_path)
     x_e = np.column_stack([np.ones(config.n), covariate])
+    # Read-only, the matrix is shared by the dataset, not copied.
+    genotypes.flags.writeable = False
     return SimulatedDataset(
         dataset=Dataset(y=y, x_e=x_e, x_g=genotypes),
         true_maf=maf,

@@ -167,10 +167,22 @@ def _openblas():
 
 
 def _pin_blas():
-    """Put numpy's OpenBLAS on one thread (pool worker initializer)."""
+    """Put numpy's OpenBLAS on one thread unless it already is (pool worker
+    initializer); return the count it replaced, or None if it set nothing.
+
+    The count is set only when it is not 1: in a forked child, setting it
+    restarts the thread pool that the fork shut down, and the pool's idle
+    thread spins. A forked worker inherits the caller's pin and is left
+    alone; a spawn or forkserver worker starts at the default and is pinned.
+    """
     lib = _openblas()
-    if lib is not None:
-        lib.scipy_openblas_set_num_threads64_(1)
+    if lib is None:
+        return None
+    previous = lib.scipy_openblas_get_num_threads64_()
+    if previous == 1:
+        return None
+    lib.scipy_openblas_set_num_threads64_(1)
+    return previous
 
 
 @contextmanager
@@ -180,19 +192,15 @@ def _one_blas_thread():
     A matmul's last bits depend on the BLAS thread count, so pinning every
     process of a study to one thread makes its results the same for any
     worker count by construction, and keeps pool workers from contending
-    for cores with BLAS threads. Without numpy's bundled OpenBLAS this does
-    nothing.
+    for cores with BLAS threads. Only a count that was changed is restored.
+    Without numpy's bundled OpenBLAS this does nothing.
     """
-    lib = _openblas()
-    if lib is None:
-        yield
-        return
-    previous = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
+    previous = _pin_blas()
     try:
         yield
     finally:
-        lib.scipy_openblas_set_num_threads64_(previous)
+        if previous is not None:
+            _openblas().scipy_openblas_set_num_threads64_(previous)
 
 
 def _dataset_alpha_hats(config, k):

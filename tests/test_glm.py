@@ -380,6 +380,41 @@ class TestDataset:
         with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
             Dataset(x_g=np.zeros((12, 1)), **inputs)
 
+    @pytest.mark.parametrize("name", ["y", "x_e", "x_g"])
+    @pytest.mark.parametrize("view", [False, True], ids=["array", "view"])
+    def test_leaves_the_callers_arrays_writable(self, name, view):
+        # Each input already has the stored dtype and layout, so converting
+        # it returns the input itself (or, for a row slice, a view of the
+        # caller's array).
+        inputs = {
+            "y": np.linspace(0.0, 1.0, 8),
+            "x_e": np.column_stack([np.ones(8), np.linspace(-1.0, 1.0, 8)]),
+            "x_g": np.tile(np.array([[0, 1], [1, 2]], dtype=np.int8), (4, 1)),
+        }
+        original = inputs[name]
+        if view:
+            original = np.concatenate([original, original])
+            inputs[name] = original[:8]
+        dataset = Dataset(**inputs)
+        stored = getattr(dataset, name)
+        assert stored is not inputs[name]
+        assert not np.may_share_memory(stored, original)
+        assert not stored.flags.writeable
+        assert inputs[name].flags.writeable and original.flags.writeable
+        before = stored.copy()
+        original[0] = 2
+        assert np.array_equal(stored, before)
+
+    def test_shares_a_read_only_input(self):
+        x_g = np.tile(np.array([[0, 1], [1, 2]], dtype=np.int8), (4, 1))
+        x_g.flags.writeable = False
+        dataset = Dataset(
+            y=np.linspace(0.0, 1.0, 8),
+            x_e=np.column_stack([np.ones(8), np.linspace(-1.0, 1.0, 8)]),
+            x_g=x_g,
+        )
+        assert dataset.x_g is x_g
+
     def test_rejects_too_few_rows(self):
         with pytest.raises(ValueError):
             Dataset(

@@ -39,3 +39,13 @@ def test_the_score_statistics_peak_is_reported():
     assert done.returncode == 0, done.stderr
     (record,) = [json.loads(line) for line in done.stdout.splitlines()]
     assert 0 <= record["score_peak_mib"] < 1
+
+
+def test_the_simulation_peak_is_reported():
+    # It covers at least the int8 genotypes that the simulation returns,
+    # and less than one n x m float64 draw, which it never holds whole.
+    n, m = 400, 2000
+    done = _scan_memory(n, m, 20, "raw-y")
+    assert done.returncode == 0, done.stderr
+    (record,) = [json.loads(line) for line in done.stdout.splitlines()]
+    assert n * m / 2**20 < record["simulate_peak_mib"] < n * m * 8 / 2**20

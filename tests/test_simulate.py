@@ -327,3 +327,41 @@ def test_allele_draw_matches_the_closed_form_root():
     z = substream(5, 1).standard_normal((config.n, config.m))
     a, c = root
     assert np.array_equal(draws, a * z + c * z.sum(axis=1, keepdims=True) < threshold)
+
+
+@pytest.mark.parametrize(
+    "n, m, block",
+    [(50, 40, 40 * 7), (64, 3, 3 * 64), (1, 5, 5), (33, 1000, 10)],
+    ids=["7-row blocks", "one block", "one row", "block below a row"],
+)
+def test_allele_draw_is_blocked_without_moving_a_bit(monkeypatch, n, m, block):
+    # Rows are drawn a block at a time (the blocks of the first case leave a
+    # remainder of 1 row); the bits and the generator's state afterwards
+    # equal those of one whole n x m draw.
+    from permscan.rng import substream
+
+    monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
+    root = correlation_factor(m, 0.6)
+    threshold = np.linspace(-1.5, 0.0, m)
+    gen = substream(5, 1)
+    draws = simulate._draw_alleles(gen, n, root, threshold)
+    whole = substream(5, 1)
+    z = whole.standard_normal((n, m))
+    a, c = root
+    assert np.array_equal(draws, a * z + c * z.sum(axis=1, keepdims=True) < threshold)
+    assert gen.random() == whole.random()
+
+
+def test_allele_draw_holds_no_whole_float_block():
+    n, m = 2048, 256
+    root = correlation_factor(m, 0.5)
+    threshold = np.linspace(-1.5, 0.0, m)
+    tracemalloc.start()
+    try:
+        simulate._draw_alleles(np.random.default_rng(1), n, root, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One 1 MiB block of draws and the n x m booleans (0.5 MiB), against
+    # the 4 MiB of n x m float64 that a whole draw holds.
+    assert peak < n * m * 8 / 2

@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo calibration harness."""
 
+import multiprocessing
+import os
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -319,6 +321,26 @@ def blas():
     lib.scipy_openblas_set_num_threads64_(previous)
 
 
+def _blas_threads():
+    """BLAS thread count of the process that runs it (a pool probe task)."""
+    return study._openblas().scipy_openblas_get_num_threads64_()
+
+
+class _CountingBlas:
+    """Stand-in for the OpenBLAS library that counts calls to the setter."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.sets = 0
+
+    def scipy_openblas_get_num_threads64_(self):
+        return self.threads
+
+    def scipy_openblas_set_num_threads64_(self, threads):
+        self.threads = threads
+        self.sets += 1
+
+
 class TestBlasThreads:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_datasets_run_on_one_blas_thread(self, blas, monkeypatch, workers):
@@ -333,6 +355,43 @@ class TestBlasThreads:
         replicate_statistics = study.replicate_statistics
         monkeypatch.setattr(study, "replicate_statistics", pinned)
         run_study(_small_config(workers=workers))
+
+    def test_forked_worker_starts_no_blas_thread(self, blas, monkeypatch):
+        # Setting the count in a forked worker restarts OpenBLAS's thread
+        # pool, which would show here as a second OS thread.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count a process's threads")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers are not forked on this platform")
+
+        def one_thread(*args, **kwargs):
+            result = replicate_statistics(*args, **kwargs)
+            threads = len(os.listdir("/proc/self/task"))
+            if threads != 1:
+                raise RuntimeError(f"the worker ran {threads} OS threads")
+            return result
+
+        replicate_statistics = study.replicate_statistics
+        monkeypatch.setattr(study, "replicate_statistics", one_thread)
+        run_study(_small_config(workers=2))
+
+    def test_spawned_worker_is_pinned(self, blas):
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=context, initializer=study._pin_blas
+        ) as pool:
+            assert pool.submit(_blas_threads).result(timeout=120) == 1
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_blas_thread_sets_only_a_count_that_is_not_one(
+        self, monkeypatch, threads
+    ):
+        fake = _CountingBlas(threads)
+        monkeypatch.setattr(study, "_openblas", lambda: fake)
+        with study._one_blas_thread():
+            assert fake.threads == 1
+        assert fake.threads == threads
+        assert fake.sets == (0 if threads == 1 else 2)
 
     def test_caller_thread_count_is_restored(self, blas):
         run_study(_small_config(workers=2))

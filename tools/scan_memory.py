@@ -4,19 +4,20 @@
 
 Each SCHEME (a ``ResamplingScheme`` value such as ``parametric-bootstrap``)
 runs in its own process. The process simulates a binomial N x M dataset
-with the benchmark's cli-wide scenario (beta_e 0.5, rho 0.5, seed 1), fits
-the null model and takes the observed statistics under tracemalloc as
-``permscan scan`` does, then calls ``replicate_statistics`` with B
-replicates three times: to warm up, timed, and under tracemalloc. It prints
-one JSON line per scheme:
+under tracemalloc with the benchmark's cli-wide scenario (beta_e 0.5,
+rho 0.5, seed 1), fits the null model and takes the observed statistics
+under tracemalloc as ``permscan scan`` does, then calls
+``replicate_statistics`` with B replicates three times: to warm up, timed,
+and under tracemalloc. It prints one JSON line per scheme:
 
-    seconds          wall time of the timed call
-    traced_peak_mib  tracemalloc peak of the traced call above what was
-                     allocated before it (MiB)
-    score_peak_mib   the same for ``score_statistics``, which computes the
-                     score denominators (MiB)
-    max_rss_mb       the process's maximum resident set size, simulation
-                     included (MB, ru_maxrss / 1024)
+    seconds            wall time of the timed call
+    traced_peak_mib    tracemalloc peak of the traced call above what was
+                       allocated before it (MiB)
+    score_peak_mib     the same for ``score_statistics``, which computes the
+                       score denominators (MiB)
+    simulate_peak_mib  the same for ``simulate_dataset`` (MiB)
+    max_rss_mb         the process's maximum resident set size, simulation
+                       included (MB, ru_maxrss / 1024)
 
 The permscan on PYTHONPATH is measured, else the one in this checkout's
 ``src``, so a second checkout is measured with PYTHONPATH=OTHER/src.
@@ -39,12 +40,12 @@ CHILD = (
 
 
 def _traced_peak(call):
-    """tracemalloc peak of ``call()`` above what was allocated before it."""
+    """``call()`` and its tracemalloc peak above what was allocated before it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
 
@@ -58,14 +59,15 @@ def measure(n, m, b, scheme_name):
     config = ps.SimulationConfig(
         n=n, m=m, family=ps.Family.BINOMIAL, beta_e=0.5, rho=0.5, seed=1
     )
-    dataset = ps.simulate_dataset(config).dataset
+    simulated, simulate_peak = _traced_peak(lambda: ps.simulate_dataset(config))
+    dataset = simulated.dataset
     fit = ps.fit_null(config.family, dataset.y, dataset.x_e)
-    score_peak = _traced_peak(lambda: ps.score_statistics(fit, dataset.x_g))
+    _, score_peak = _traced_peak(lambda: ps.score_statistics(fit, dataset.x_g))
     ps.replicate_statistics(scheme, fit, dataset, b, seed=1)
     start = time.perf_counter()
     ps.replicate_statistics(scheme, fit, dataset, b, seed=1)
     seconds = time.perf_counter() - start
-    peak = _traced_peak(lambda: ps.replicate_statistics(scheme, fit, dataset, b, seed=1))
+    _, peak = _traced_peak(lambda: ps.replicate_statistics(scheme, fit, dataset, b, seed=1))
     record = {
         "scheme": scheme.value,
         "n": n,
@@ -74,6 +76,7 @@ def measure(n, m, b, scheme_name):
         "seconds": round(seconds, 3),
         "traced_peak_mib": round(peak / 2**20, 1),
         "score_peak_mib": round(score_peak / 2**20, 1),
+        "simulate_peak_mib": round(simulate_peak / 2**20, 1),
         "max_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
     print(json.dumps(record), flush=True)
