@@ -85,12 +85,6 @@ class ScanReport:
     alpha_sidak: float
 
 
-def _check_workers(workers, source):
-    if workers < 1:
-        raise ConfigError(f"{source} must be >= 1, got {workers}")
-    return workers
-
-
 def _default_workers():
     raw = os.environ.get(WORKERS_ENV_VAR)
     if raw is None:
@@ -99,7 +93,9 @@ def _default_workers():
         workers = int(raw)
     except ValueError as exc:
         raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    return _check_workers(workers, WORKERS_ENV_VAR)
+    if workers < 1:
+        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
+    return workers
 
 
 def _choice(kind, value, noun):
@@ -323,11 +319,6 @@ def _resolve_study_config(args):
 
 
 def _cmd_scan(args):
-    # Validated for symmetry with study; scan is serial.
-    if args.workers is None:
-        _default_workers()
-    else:
-        _check_workers(args.workers, "--workers")
     _check_out_dir(args.out)
     report = run_scan(
         phenotype=args.phenotype,
@@ -395,7 +386,6 @@ def build_parser():
     scan.add_argument("--b", type=int, default=1000, help="number of replicates")
     scan.add_argument("--alpha", type=float, default=0.05, help="target FWER level")
     scan.add_argument("--seed", type=int, default=0, help="master seed")
-    scan.add_argument("--workers", type=int, help="accepted; scan runs serially")
     scan.add_argument("--out", required=True, help="report path")
     scan.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -218,10 +218,11 @@ class BatchIrls(NamedTuple):
     ``iterations`` counts the passes of the shared loop, which ends once
     every row has converged or separated. A row is ``converged`` once a
     Newton step, the change of its coefficients over one pass, was small
-    relative to the coefficients (IRLS_STEP_TOL). A row failed when a
-    weighted system was ``singular``, its probabilities on the last pass
-    were ``separated`` (within SEPARATION_TOL of 0 or 1) or it did not
-    reach ``converged``. ``mu`` is the loop's own buffer, so a caller may
+    relative to the coefficients (IRLS_STEP_TOL). A row failed when one of
+    its systems x' W x was ``singular`` (a Cholesky pivot of
+    ``cholesky_inverse`` not positive and finite), its probabilities on the
+    last pass were ``separated`` (within SEPARATION_TOL of 0 or 1) or it did
+    not reach ``converged``. ``mu`` is the loop's own buffer, so a caller may
     overwrite it.
     """
 
@@ -237,23 +238,31 @@ class BatchIrls(NamedTuple):
         return self.converged & ~self.singular & ~self.separated
 
 
-def batch_solve(a, rhs):
-    """Solve a (batch, d, d) system against vector or matrix right-hand
-    sides, falling back to a per-item loop when any system is singular."""
-    vector = rhs.ndim == 2
-    stacked = rhs[..., None] if vector else rhs
-    try:
-        out = np.linalg.solve(a, stacked)
-        return (out[..., 0] if vector else out), np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        out = np.zeros_like(stacked)
-        ok = np.ones(len(a), dtype=bool)
-        for i in range(len(a)):
-            try:
-                out[i] = np.linalg.solve(a[i], stacked[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-        return (out[..., 0] if vector else out), ok
+def cholesky_inverse(a):
+    """L^-1 of the Cholesky factor L L' = a of every system of a
+    (batch, d, d) stack, and the mask of systems that are positive definite.
+
+    The factor is vectorized over the batch and loops over d only. A system
+    is singular when one of its pivots is not positive and finite; it takes
+    the placeholder pivot 1 there and is masked out, so nothing raises and
+    every entry stays finite. A system with a non-finite entry is factored
+    as the zero matrix, which fails its first pivot.
+    """
+    batch, d, _ = a.shape
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], a, 0.0)
+    chol, inv = np.zeros_like(a), np.zeros_like(a)
+    ok = np.ones(batch, dtype=bool)
+    for j in range(d):
+        pivot = a[:, j, j] - np.einsum("bk,bk->b", chol[:, j, :j], chol[:, j, :j])
+        regular = np.isfinite(pivot) & (pivot > 0)
+        ok &= regular
+        l_jj = np.sqrt(np.where(regular, pivot, 1.0))
+        chol[:, j, j], inv[:, j, j] = l_jj, 1.0 / l_jj
+        below = a[:, j + 1 :, j] - np.einsum("bik,bk->bi", chol[:, j + 1 :, :j], chol[:, j, :j])
+        chol[:, j + 1 :, j] = below / l_jj[:, None]
+        inv[:, j, :j] = -np.einsum("bk,bki->bi", chol[:, j, :j], inv[:, :j, :j]) / l_jj[:, None]
+    return inv, ok
 
 
 def outer_rows(x):
@@ -284,25 +293,24 @@ def binomial_irls(x_e, ys):
     working response is (2y - 1)(log 3 + 4/3), so pass 1 is one
     least-squares solve shared by the whole batch. Every later pass is the
     Newton step coef += (x' W x)^-1 x' (y - mu), with the stacked x' W x
-    taken as one product of the weights and ``outer_rows(x_e)``; mu and the
-    weights live in two (rows, n) buffers updated in place, and ``mu`` of
-    the result is the first of them. A row has converged once its Newton
-    step is at most IRLS_STEP_TOL times 1 + max|coef| in the max norm, so
-    none converges on pass 1. Separated coefficients diverge and never
-    converge; separation is diagnosed on the probabilities of every pass.
-    The loop stops when every row has converged or separated, or after
-    IRLS_MAX_ITER passes.
+    taken as one product of the weights and ``outer_rows(x_e)``. Each
+    system, pass 1's x' x included as a batch of one, is solved as
+    L^-T L^-1 through ``cholesky_inverse``, and a singular one gives a zero
+    step. mu and the weights live in two (rows, n) buffers updated in place,
+    and ``mu`` of the result is the first of them. A row has converged once
+    its Newton step is at most IRLS_STEP_TOL times 1 + max|coef| in the max
+    norm, so none converges on pass 1. Separated coefficients diverge and
+    never converge; separation is diagnosed on the probabilities of every
+    pass. The loop stops when every row has converged or separated, or
+    after IRLS_MAX_ITER passes.
     """
     batch, d = ys.shape[0], x_e.shape[1]
     converged = np.zeros(batch, dtype=bool)
-    singular = np.zeros(batch, dtype=bool)
     working = math.log(3.0) + 4.0 / 3.0
     rhs = (2.0 * working) * (ys @ x_e) - working * x_e.sum(axis=0)
-    try:
-        coef = np.linalg.solve(x_e.T @ x_e, rhs.T).T
-    except np.linalg.LinAlgError:
-        coef = np.zeros((batch, d))
-        singular[:] = True
+    (inv,), (ok,) = cholesky_inverse((x_e.T @ x_e)[None])
+    coef = (rhs @ inv.T) @ inv if ok else np.zeros((batch, d))
+    singular = np.full(batch, not ok)
     gram = outer_rows(x_e)
     x_scale = np.abs(x_e).max(axis=0)
     mu, work = np.empty(ys.shape), np.empty(ys.shape)
@@ -316,8 +324,10 @@ def binomial_irls(x_e, ys):
         iteration += 1
         np.subtract(1.0, mu, out=work)
         work *= mu
-        a = (work @ gram).reshape(batch, d, d)
-        step, ok = batch_solve(a, np.subtract(ys, mu, out=work) @ x_e)
+        inv, ok = cholesky_inverse((work @ gram).reshape(batch, d, d))
+        half = np.einsum("bij,bj->bi", inv, np.subtract(ys, mu, out=work) @ x_e)
+        step = np.einsum("bji,bj->bi", inv, half)
+        step[~ok] = 0.0
         singular |= ~ok
         coef += step
         limit = IRLS_STEP_TOL * (1.0 + np.abs(coef).max(axis=1))

@@ -43,8 +43,10 @@ for one. It is one of two kinds:
 * a binomial refit: the row fit is one batch IRLS of the whole block, of
   the mean only against the observed denominators (raw-y), or of the mean
   and weights (bootstrap), whose marker map also takes each row's
-  denominators of its columns. The bootstrap has each row's x_e' W x_e
-  factored and the covariates whitened once per row fit; each marker block
+  denominators of its columns. Every x_e' W x_e, of an IRLS pass or of
+  the bootstrap's denominators, is factored by ``glm.cholesky_inverse``,
+  which masks a system whose pivot is not positive and finite. The
+  bootstrap whitens the covariates once per row fit; each marker block
   is one product and a sum of squares. y - mu_hat is formed in the IRLS's
   own buffer, and the drawn rows are released once the row fit has run.
   A binomial bootstrap row is written as 0/1 floats into the buffer of the
@@ -57,7 +59,7 @@ whatever the number of replicates. Permutation indices depend only on the
 stream and the length, so inside ``shared_permutations`` (a study's scheme
 loop over one dataset) each index block is drawn once and shared by every
 permuting scheme of that length. A row whose binomial refit fails
-(separation, non-convergence, a singular system) is redrawn, at most
+(separation, non-convergence, a masked system) is redrawn, at most
 ``MAX_REPLICATE_RETRIES`` times, each attempt from its own stream. Test
 hooks replace the draws with fixed index rows: the identity
 (``force_identity``) or every permutation (``exhaustive``). A fixed row is
@@ -82,7 +84,7 @@ from .errors import (
     ReplicateFailureError,
     check_integer,
 )
-from .glm import Family, binomial_irls, fit_null, outer_rows
+from .glm import Family, binomial_irls, cholesky_inverse, fit_null, outer_rows
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
 from .score import (
     DEGENERATE_TOL,
@@ -382,36 +384,24 @@ def _binomial_refit(x_e, x_g, denom):
 def _refit_weights(x_e, mu):
     """Marker-free half of the refit denominators of each row of fitted
     probabilities ``mu``: the covariates whitened against x_e' W x_e, the
-    pivot l_00 of its Cholesky factor L and the mask of rows whose factor
-    exists.
+    inverse pivot 1 / l_00 of its Cholesky factor L and the mask of rows
+    whose factor exists (``cholesky_inverse``).
 
     The (d, rows, n) array holds v = L^-1 x_e' W, except slice 0, which is
     the weights w themselves: x_e[:, 0] is the intercept column of ones that
     ``Dataset`` checks, so row 0 of L^-1 is (1/l_00, 0, ...) and v_0 is
-    w / l_00. A row whose pivot is not positive and finite is masked out and
-    gets the placeholder pivot 1, so every factor stays finite.
+    w / l_00.
     """
     (rows, n), d = mu.shape, x_e.shape[1]
     whitened = np.empty((d, rows, n))
     w = np.subtract(1.0, mu, out=whitened[0])
     w *= mu
-    a = (w @ outer_rows(x_e)).reshape(rows, d, d)
-    chol, inv = np.zeros_like(a), np.zeros_like(a)
-    ok = np.ones(rows, dtype=bool)
-    for j in range(d):
-        pivot = a[:, j, j] - np.einsum("bk,bk->b", chol[:, j, :j], chol[:, j, :j])
-        regular = np.isfinite(pivot) & (pivot > 0)
-        ok &= regular
-        l_jj = np.sqrt(np.where(regular, pivot, 1.0))
-        chol[:, j, j], inv[:, j, j] = l_jj, 1.0 / l_jj
-        below = a[:, j + 1 :, j] - np.einsum("bik,bk->bi", chol[:, j + 1 :, :j], chol[:, j, :j])
-        chol[:, j + 1 :, j] = below / l_jj[:, None]
-        inv[:, j, :j] = -np.einsum("bk,bki->bi", chol[:, j, :j], inv[:, :j, :j]) / l_jj[:, None]
+    inv, ok = cholesky_inverse((w @ outer_rows(x_e)).reshape(rows, d, d))
     # Slice i >= 1 is w times row i of L^-1 applied to x_e: one product.
     rows_of_inv = inv[:, 1:, :].transpose(1, 0, 2).reshape(-1, d)
     np.matmul(rows_of_inv, x_e.T, out=whitened[1:].reshape(-1, n))
     whitened[1:] *= w
-    return whitened, chol[:, 0, 0], ok
+    return whitened, inv[:, 0, 0], ok
 
 
 def _refit_block_denominators(weights, x_cols):
@@ -420,22 +410,15 @@ def _refit_block_denominators(weights, x_cols):
     degenerate marker among them. With v = L^-1 x_e' W, the score variance
     a' (I - H) a is ||W^1/2 x||^2 - ||v x||^2: one (d * rows, n) product
     and a sum of squares, with no solve."""
-    whitened, l00, ok = weights
+    whitened, inv_l00, ok = weights
     d, rows, n = whitened.shape
     cross = (whitened.reshape(d * rows, n) @ x_cols).reshape(d, rows, -1)
     term1 = whitened[0] @ (x_cols**2)
-    cross[0] /= l00[:, None]
+    cross[0] *= inv_l00[:, None]
     denom_sq = term1 - np.einsum("irj,irj->rj", cross, cross)
     ok = ok & ~degenerate(denom_sq, term1).any(axis=1)
     np.maximum(denom_sq, DEGENERATE_TOL**2, out=denom_sq)
     return np.sqrt(denom_sq, out=denom_sq), ok
-
-
-def _refit_denominators(x_e, x_g, mu):
-    """Score denominators of each row of fitted probabilities ``mu`` on all
-    markers of ``x_g``, and the mask of rows with a regular system and no
-    degenerate marker."""
-    return _refit_block_denominators(_refit_weights(x_e, mu), x_g)
 
 
 def _bernoulli_rows(gen, rows, mu_e):

@@ -96,27 +96,26 @@ def correlation_factor(m, rho):
     return a, (np.sqrt(1.0 + (m - 1) * rho) - a) / m
 
 
-def _draw_alleles(gen, n, root, threshold):
-    """One DNA copy for all individuals: dichotomized correlated normals.
+def _draw_alleles(gen, root, threshold, counts):
+    """Add one DNA copy for all individuals, dichotomized correlated
+    normals, into the n x m int8 allele ``counts``.
 
     ``root`` is the ``(a, c)`` pair of ``correlation_factor``; each row z
     becomes (a I + c J) z = a z + c sum(z), formed in the draws' own buffer.
     The normals are drawn a block of rows at a time into one buffer of
-    about ``_DRAW_BLOCK`` values, so no n x m float array is held; the
-    stream is consumed in the same order and every row is formed alone, so
-    the bits do not depend on the block size.
+    about ``_DRAW_BLOCK`` values, so no n x m float or bool array is held;
+    the stream is consumed in the same order and every row is formed alone,
+    so the bits do not depend on the block size.
     """
     a, c = root
-    m = threshold.size
-    alleles = np.empty((n, m), dtype=bool)
+    n, m = counts.shape
     block = np.empty((min(n, max(1, _DRAW_BLOCK // m)), m))
     for start in range(0, n, block.shape[0]):
         z = gen.standard_normal(out=block[: n - start])
         shift = c * z.sum(axis=1, keepdims=True)
         z *= a
         z += shift
-        np.less(z, threshold, out=alleles[start : start + z.shape[0]])
-    return alleles
+        counts[start : start + z.shape[0]] += z < threshold
 
 
 def simulate_genotypes(config, *, stream_path=()):
@@ -132,11 +131,12 @@ def simulate_genotypes(config, *, stream_path=()):
     )
     root = correlation_factor(config.m, config.rho)
     threshold = np.array([NormalDist().inv_cdf(p) for p in maf])
+    genotypes = np.empty((config.n, config.m), dtype=np.int8)
     for attempt in range(MONOMORPHIC_RETRIES):
         gen = substream(config.seed, *stream_path, GENOTYPE_LANE, attempt)
-        copy_one = _draw_alleles(gen, config.n, root, threshold)
-        copy_two = _draw_alleles(gen, config.n, root, threshold)
-        genotypes = np.add(copy_one, copy_two, dtype=np.int8)
+        genotypes.fill(0)
+        _draw_alleles(gen, root, threshold, genotypes)
+        _draw_alleles(gen, root, threshold, genotypes)
         if np.all(genotypes.min(axis=0) < genotypes.max(axis=0)):
             return genotypes, maf
     raise ConfigError(

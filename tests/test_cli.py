@@ -3,13 +3,18 @@
 import argparse
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
+from scipy.special import expit, ndtr
 
-from permscan import Family, SimulationConfig, simulate_dataset
+import permscan
+from permscan import Dataset, Family, SimulationConfig, simulate_dataset
 from permscan import cli
 from permscan.cli import build_parser, main
 from permscan.errors import ConfigError, PermscanError
@@ -71,13 +76,12 @@ class TestIngest:
 
 
 class TestScan:
-    def test_reports_are_byte_identical_across_reruns_and_workers(self, tmp_path):
+    def test_reports_are_byte_identical_across_reruns(self, tmp_path):
         _, paths = _simulate_files(tmp_path)
         outputs = []
-        for name, workers in (("a.csv", None), ("b.csv", 1), ("c.csv", 4)):
+        for name in ("a.csv", "b.csv", "c.csv"):
             out = tmp_path / name
-            extra = () if workers is None else ("--workers", str(workers))
-            assert main(_scan_args(paths, out, extra=extra)) == 0
+            assert main(_scan_args(paths, out)) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -258,12 +262,16 @@ class TestExitCodes:
         assert main(["study", "--out", str(tmp_path / "t.csv"), "--k", "0"]) == 5
         capsys.readouterr()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_scan_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+    def test_scan_has_no_worker_count(self, tmp_path, monkeypatch, capsys):
+        # scan runs serially: it takes no --workers and reads no
+        # PERMSCAN_WORKERS, not even an invalid one.
         _, paths = _simulate_files(tmp_path, seed=18)
-        args = _scan_args(paths, tmp_path / "r.csv", extra=("--workers", workers))
+        args = _scan_args(paths, tmp_path / "r.csv", extra=("--workers", "2"))
         assert main(args) == 5
-        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        monkeypatch.setenv("PERMSCAN_WORKERS", "-5")
+        assert main(_scan_args(paths, tmp_path / "r.csv")) == 0
+        capsys.readouterr()
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_study_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
@@ -277,18 +285,10 @@ class TestExitCodes:
         capsys.readouterr()
         assert not (tmp_path / "t.csv").exists()
 
-    @pytest.mark.parametrize("command", ["scan", "study"])
-    def test_env_workers_below_one_is_config_error(
-        self, tmp_path, monkeypatch, capsys, command
-    ):
+    def test_env_workers_below_one_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PERMSCAN_WORKERS", "-5")
-        if command == "scan":
-            _, paths = _simulate_files(tmp_path, seed=19)
-            args = _scan_args(paths, tmp_path / "r.csv")
-        else:
-            args = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9"]
-            args += ["--out", str(tmp_path / "t.csv")]
-        assert main(args) == 5
+        args = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9"]
+        assert main([*args, "--out", str(tmp_path / "t.csv")]) == 5
         assert "PERMSCAN_WORKERS must be >= 1, got -5" in capsys.readouterr().err
 
     def test_full_model_residuals_on_wide_data_is_config_error(self, tmp_path, capsys):
@@ -557,21 +557,30 @@ class TestStudyCommand:
         capsys.readouterr()
 
 
+_SMALL_STUDY = ["study", "--n", "30", "--m", "2", "--k", "2", "--b", "9", "--seed", "16"]
+
+
 class TestWorkersEnvVar:
     def test_env_var_supplies_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERMSCAN_WORKERS", "2")
-        _, paths = _simulate_files(tmp_path, seed=16)
+        real, workers = cli.run_study, []
+
+        def recording(config):
+            workers.append(config.workers)
+            return real(config)
+
+        monkeypatch.setattr(cli, "run_study", recording)
         reference = tmp_path / "ref.csv"
-        assert main(_scan_args(paths, reference, extra=("--workers", "1"))) == 0
+        assert main([*_SMALL_STUDY, "--workers", "1", "--out", str(reference)]) == 0
         from_env = tmp_path / "env.csv"
-        assert main(_scan_args(paths, from_env)) == 0
+        assert main([*_SMALL_STUDY, "--out", str(from_env)]) == 0
+        assert workers == [1, 2]
         assert reference.read_bytes() == from_env.read_bytes()
 
     def test_invalid_env_var_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PERMSCAN_WORKERS", "many")
-        _, paths = _simulate_files(tmp_path, seed=17)
-        assert main(_scan_args(paths, tmp_path / "r.csv")) == 5
-        capsys.readouterr()
+        assert main([*_SMALL_STUDY, "--out", str(tmp_path / "t.csv")]) == 5
+        assert "PERMSCAN_WORKERS must be an integer, got 'many'" in capsys.readouterr().err
 
 
 # Every flag of every subcommand: (value type, or "switch" for a flag that
@@ -586,7 +595,6 @@ FLAGS = {
         "--b": ("int", 1000, False, None),
         "--alpha": ("float", 0.05, False, None),
         "--seed": ("int", 0, False, None),
-        "--workers": ("int", None, False, None),
         "--out": ("str", None, True, None),
         "--format": ("str", "csv", False, ("csv", "json")),
     },
@@ -672,3 +680,45 @@ def test_scan_rejects_a_negative_seed_before_ingest(tmp_path, capsys, no_ingest)
 def test_run_scan_rejects_a_non_integer_seed_before_ingest(no_ingest):
     with pytest.raises(ConfigError, match="seed must be an integer, got 1.5"):
         cli.run_scan("y.csv", "g.csv", "x.csv", seed=1.5)
+
+
+def test_scan_agrees_across_blas_thread_counts(tmp_path):
+    # A scan keeps the default BLAS thread count, whose matmuls may round
+    # differently, so the same scan on one and on two threads agrees to
+    # rounding, not to the byte. Markers 1 and 4 carry an effect, and every
+    # |t| lies at least 5 % from the cutoff, so no move of that size can
+    # change the rejected set (the margin is checked below).
+    simulated = simulate_dataset(
+        SimulationConfig(n=600, m=800, family=Family.BINOMIAL, beta_e=0.5, seed=7)
+    )
+    x_e, x_g = simulated.dataset.x_e, simulated.dataset.x_g
+    effect = (x_g[:, [1, 4]] - x_g[:, [1, 4]].mean(axis=0)).sum(axis=1)
+    gen = np.random.default_rng(8)
+    y = (gen.random(600) < expit(0.5 * x_e[:, 1] + 0.8 * effect)).astype(float)
+    phenotype, covariates, genotypes = write_dataset(tmp_path, Dataset(y, x_e, x_g))
+    src = str(Path(permscan.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads{threads}.json"
+        args = _scan_args([str(phenotype), str(covariates), str(genotypes)], out, "json")
+        args += ["--family", "binomial", "--scheme", "standardized-residuals"]
+        subprocess.run(
+            [sys.executable, "-m", "permscan.cli", *args],
+            env=env,
+            check=True,
+            capture_output=True,
+        )
+        reports.append(json.loads(out.read_text()))
+    one, two = reports
+    t_one = np.array([marker["t"] for marker in one["markers"]])
+    t_two = np.array([marker["t"] for marker in two["markers"]])
+    assert_allclose(t_two, t_one, rtol=1e-12, atol=0)
+    for key in ("c", "ci_low", "ci_high"):
+        assert_allclose(two["cutoff"][key], one["cutoff"][key], rtol=1e-12, atol=0)
+    rejected = [[marker["rejected"] for marker in report["markers"]] for report in reports]
+    assert rejected[0] == rejected[1]
+    assert np.flatnonzero(rejected[0]).tolist() == [1, 4]
+    c = one["cutoff"]["c"]
+    assert np.min(np.abs(np.abs(t_one) - c)) > 0.05 * c

@@ -205,6 +205,35 @@ class TestBatchIrls:
                 assert getattr(batch, mask)[i] == getattr(single, mask)[0], (i, mask)
             assert np.array_equal(batch.coef[i], single.coef[0])
 
+    def test_one_singular_row_is_masked_alone(self, monkeypatch):
+        # Row 2's weighted system is replaced by the zero matrix on every
+        # Newton pass of the batch; the batch-of-one fits keep theirs.
+        rng = np.random.default_rng(45)
+        x_e = _random_design(30, 2, 46)
+        ys = (rng.random((5, 30)) < expit(0.4 + 0.9 * x_e[:, 1])).astype(float)
+        real = glm.cholesky_inverse
+
+        def zero_row_two(a):
+            if len(a) == len(ys):
+                a = a.copy()
+                a[2] = 0.0
+            return real(a)
+
+        monkeypatch.setattr(glm, "cholesky_inverse", zero_row_two)
+        batch = glm.binomial_irls(x_e, ys)
+        assert batch.singular.tolist() == [False, False, True, False, False]
+        assert batch.ok.tolist() == [True, True, False, True, True]
+        assert np.isfinite(batch.coef).all()
+        for i in (0, 1, 3, 4):
+            single = glm.binomial_irls(x_e, ys[i][None, :])
+            for mask in MASKS:
+                assert getattr(batch, mask)[i] == getattr(single, mask)[0], (i, mask)
+            assert_allclose(batch.coef[i], single.coef[0], rtol=0, atol=1e-8)
+        # The masked row takes zero steps: it keeps its pass-1 coefficients.
+        monkeypatch.setattr(glm, "IRLS_MAX_ITER", 1)
+        first = glm.binomial_irls(x_e, ys[2][None, :])
+        assert_allclose(batch.coef[2], first.coef[0], rtol=1e-12, atol=0)
+
     def test_separated_batch_stops_early(self):
         z = np.linspace(-2, 2, 30)
         x_e = np.column_stack([np.ones(30), z])
@@ -212,6 +241,32 @@ class TestBatchIrls:
         fit = glm.binomial_irls(x_e, ys)
         assert fit.separated.all() and not fit.converged.any()
         assert fit.iterations < glm.IRLS_MAX_ITER
+
+
+class TestCholeskyInverse:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_solves_like_linalg_and_masks_the_rest(self, d):
+        # Systems 3, 7 and 11 are singular (a zero last row and column),
+        # indefinite (a negative last pivot) and non-finite (NaN in a corner).
+        rng = np.random.default_rng(50 + d)
+        root = rng.standard_normal((16, d, d))
+        a = root @ root.transpose(0, 2, 1) + d * np.eye(d)
+        a[3, -1, :] = a[3, :, -1] = 0.0
+        a[7] = np.eye(d)
+        a[7, -1, -1] = -1.0
+        a[11, -1, 0] = a[11, 0, -1] = np.nan
+        rhs = rng.standard_normal((16, d))
+        masked = np.isin(np.arange(16), (3, 7, 11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inv, ok = glm.cholesky_inverse(a)
+        assert ok.tolist() == (~masked).tolist()
+        assert np.isfinite(inv).all()
+        solved = np.einsum("bji,bj->bi", inv, np.einsum("bij,bj->bi", inv, rhs))
+        expected = np.linalg.solve(a[ok], rhs[ok][..., None])[..., 0]
+        assert_allclose(solved[ok], expected, rtol=1e-12, atol=0)
+        identity = inv[ok] @ a[ok] @ inv[ok].transpose(0, 2, 1)
+        assert_allclose(identity, np.broadcast_to(np.eye(d), identity.shape), atol=1e-12)
 
 
 # A non-finite phenotype or covariate must be rejected by name, not fitted

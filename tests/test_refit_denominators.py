@@ -36,6 +36,12 @@ def _dataset(d, n=150, m=7, seed=3, indicator=0):
     return Dataset(y, x_e, x_g)
 
 
+def _denominators(x_e, x_g, mu):
+    """Refit denominators of each row of ``mu`` on every marker of ``x_g``
+    and the mask of rows with a regular system and no degenerate marker."""
+    return resampling._refit_block_denominators(resampling._refit_weights(x_e, mu), x_g)
+
+
 @pytest.mark.parametrize("d", [1, 3])
 def test_denominators_match_fit_null_per_row(d):
     # The benchmark's datasets have d = 2; intercept-only and two-covariate
@@ -46,7 +52,7 @@ def test_denominators_match_fit_null_per_row(d):
     rows = (gen.random((20, dataset.n)) < fit.mu_e).astype(float)
     fits = [fit_null(Family.BINOMIAL, row, dataset.x_e) for row in rows]
     mu = np.vstack([row_fit.mu_e for row_fit in fits])
-    denom, ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu)
+    denom, ok = _denominators(dataset.x_e, dataset.x_g, mu)
     expected = np.vstack([score_denominators(row_fit, dataset.x_g) for row_fit in fits])
     assert ok.all()
     assert_allclose(denom, expected, rtol=1e-10, atol=0)
@@ -62,11 +68,11 @@ def test_an_exactly_singular_row_is_flagged_without_warnings():
     mu[2, :12] = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        denom, ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu)
+        denom, ok = _denominators(dataset.x_e, dataset.x_g, mu)
     assert ok.tolist() == [True, True, False, True, True]
     assert np.isfinite(denom).all()
     regular = [0, 1, 3, 4]
-    alone, alone_ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu[regular])
+    alone, alone_ok = _denominators(dataset.x_e, dataset.x_g, mu[regular])
     assert alone_ok.all()
     assert_allclose(denom[regular], alone, rtol=1e-12, atol=0)
 
@@ -98,20 +104,31 @@ def test_a_bootstrap_redraws_a_replicate_whose_system_is_singular(monkeypatch):
 
 
 def test_the_marker_map_solves_no_system(monkeypatch):
-    # Only the IRLS's Newton steps solve, against one (rows, d) vector each.
+    # Only the IRLS's passes and the row fit's whitening factor x_e' W x_e,
+    # one (rows, d, d) stack at a time; the marker map of a block multiplies.
     dataset = _dataset(2, n=120, m=700)
     fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
-    real, shapes = glm.batch_solve, []
+    real_factor, real_map = glm.cholesky_inverse, resampling._refit_block_denominators
+    shapes, mapping, widths = [], [], []
 
-    def vector_solves_only(a, rhs):
-        shapes.append(rhs.shape)
-        return real(a, rhs)
+    def factor(a):
+        if mapping:
+            raise AssertionError("the bootstrap's marker map solved a system")
+        shapes.append(a.shape)
+        return real_factor(a)
 
-    def no_solve(*args):
-        raise AssertionError("the bootstrap's marker map solved a system")
+    def marker_map(weights, x_cols):
+        mapping.append(x_cols.shape)
+        widths.append(x_cols.shape[1])
+        try:
+            return real_map(weights, x_cols)
+        finally:
+            mapping.pop()
 
-    monkeypatch.setattr(resampling, "batch_solve", no_solve, raising=False)
-    monkeypatch.setattr(glm, "batch_solve", vector_solves_only)
+    monkeypatch.setattr(glm, "cholesky_inverse", factor)
+    monkeypatch.setattr(resampling, "cholesky_inverse", factor)
+    monkeypatch.setattr(resampling, "_refit_block_denominators", marker_map)
     dist = replicate_statistics(BOOTSTRAP, fit, dataset, 300, seed=2)
     assert np.isfinite(dist.max_stats).all()
-    assert shapes and all(shape[1:] == (2,) for shape in shapes)
+    assert shapes and all(shape[1:] == (2, 2) for shape in shapes)
+    assert widths == [512, 188]

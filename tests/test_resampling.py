@@ -730,7 +730,8 @@ def test_bootstrap_denominators_match_fit_null_per_row():
     rows = kernel.draw(substream(9, RESAMPLING_LANE, 0), 24)
     fits = [fit_null(Family.BINOMIAL, row, dataset.x_e) for row in rows]
     mu = np.vstack([row_fit.mu_e for row_fit in fits])
-    denom, ok = resampling._refit_denominators(dataset.x_e, dataset.x_g, mu)
+    weights = resampling._refit_weights(dataset.x_e, mu)
+    denom, ok = resampling._refit_block_denominators(weights, dataset.x_g)
     expected = np.vstack([score_denominators(row_fit, dataset.x_g) for row_fit in fits])
     assert ok.all()
     assert_allclose(denom, expected, rtol=1e-10, atol=0)

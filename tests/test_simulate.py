@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -25,12 +26,20 @@ from permscan import (
     simulate_phenotype,
 )
 from permscan import simulate
+from permscan.rng import GENOTYPE_LANE, substream
 from permscan.simulate import correlation_factor
 
 
 def _root_matrix(m, rho):
     a, c = correlation_factor(m, rho)
     return a * np.eye(m) + c * np.ones((m, m))
+
+
+def _alleles(gen, n, root, threshold):
+    """One DNA copy of n individuals, added into a zeroed int8 matrix."""
+    counts = np.zeros((n, threshold.size), dtype=np.int8)
+    simulate._draw_alleles(gen, root, threshold, counts)
+    return counts
 
 
 def _compound_symmetry(m, rho):
@@ -66,9 +75,7 @@ class TestCorrelationFactor:
     def test_closed_form_matches_the_dense_root(self):
         n, m, rho = 50, 300, 0.5
         threshold = np.linspace(-1.5, 0.0, m)
-        alleles = simulate._draw_alleles(
-            np.random.default_rng(3), n, correlation_factor(m, rho), threshold
-        )
+        alleles = _alleles(np.random.default_rng(3), n, correlation_factor(m, rho), threshold)
         latent = np.random.default_rng(3).standard_normal((n, m)) @ _root_matrix(m, rho)
         assert np.array_equal(alleles, latent < threshold)
 
@@ -150,9 +157,9 @@ class TestGenotypes:
         thresholds = []
         draw = simulate._draw_alleles
 
-        def recording(gen, n, root, threshold):
+        def recording(gen, root, threshold, counts):
             thresholds.append(threshold)
-            return draw(gen, n, root, threshold)
+            return draw(gen, root, threshold, counts)
 
         monkeypatch.setattr(simulate, "_draw_alleles", recording)
         config = SimulationConfig(n=200, m=500, family=Family.NORMAL, seed=6)
@@ -170,6 +177,21 @@ class TestGenotypes:
             tracemalloc.stop()
         assert peak < 16 * config.n * config.m * 8
 
+    def test_holds_one_count_matrix(self):
+        # Both DNA copies are added into the n x m int8 result a block of
+        # rows at a time. Beside the result and the float block of draws, the
+        # slack covers the block's booleans and the per-marker vectors; two
+        # whole bool copies would take another 2 n m bytes.
+        config = SimulationConfig(n=2000, m=2000, family=Family.BINOMIAL, rho=0.5, seed=4)
+        tracemalloc.start()
+        try:
+            simulate_genotypes(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        slack = 2 * simulate._DRAW_BLOCK
+        assert peak < config.n * config.m + 8 * simulate._DRAW_BLOCK + slack
+
     def test_monomorphic_columns_redrawn(self):
         # Tiny n with extreme MAF produces monomorphic draws with high
         # probability; the redraw loop must still deliver polymorphic data.
@@ -178,6 +200,16 @@ class TestGenotypes:
         )
         genotypes, _ = simulate_genotypes(config)
         assert genotypes[:, 0].min() < genotypes[:, 0].max()
+        # The accepted redraw starts from zero: it is the sum of the two
+        # copies drawn from that attempt's stream alone.
+        root = correlation_factor(1, 0.0)
+        threshold = np.array([NormalDist().inv_cdf(0.05)])
+        for attempt in range(simulate.MONOMORPHIC_RETRIES):
+            gen = substream(config.seed, GENOTYPE_LANE, attempt)
+            counts = _alleles(gen, 3, root, threshold) + _alleles(gen, 3, root, threshold)
+            if counts.min() < counts.max():
+                break
+        assert attempt > 0 and np.array_equal(genotypes, counts)
 
 
 class TestPhenotype:
@@ -318,12 +350,10 @@ class TestRealFields:
 
 def test_allele_draw_matches_the_closed_form_root():
     # The in-place a z + c sum(z) gives the bits of the plain expression.
-    from permscan.rng import substream
-
     config = SimulationConfig(n=50, m=40, family=Family.NORMAL, rho=0.6)
     root = correlation_factor(config.m, config.rho)
     threshold = np.linspace(-1.5, 0.0, config.m)
-    draws = simulate._draw_alleles(substream(5, 1), config.n, root, threshold)
+    draws = _alleles(substream(5, 1), config.n, root, threshold)
     z = substream(5, 1).standard_normal((config.n, config.m))
     a, c = root
     assert np.array_equal(draws, a * z + c * z.sum(axis=1, keepdims=True) < threshold)
@@ -338,13 +368,11 @@ def test_allele_draw_is_blocked_without_moving_a_bit(monkeypatch, n, m, block):
     # Rows are drawn a block at a time (the blocks of the first case leave a
     # remainder of 1 row); the bits and the generator's state afterwards
     # equal those of one whole n x m draw.
-    from permscan.rng import substream
-
     monkeypatch.setattr(simulate, "_DRAW_BLOCK", block)
     root = correlation_factor(m, 0.6)
     threshold = np.linspace(-1.5, 0.0, m)
     gen = substream(5, 1)
-    draws = simulate._draw_alleles(gen, n, root, threshold)
+    draws = _alleles(gen, n, root, threshold)
     whole = substream(5, 1)
     z = whole.standard_normal((n, m))
     a, c = root
@@ -358,10 +386,10 @@ def test_allele_draw_holds_no_whole_float_block():
     threshold = np.linspace(-1.5, 0.0, m)
     tracemalloc.start()
     try:
-        simulate._draw_alleles(np.random.default_rng(1), n, root, threshold)
+        _alleles(np.random.default_rng(1), n, root, threshold)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # One 1 MiB block of draws and the n x m booleans (0.5 MiB), against
+    # One 1 MiB block of draws and the n x m int8 counts (0.5 MiB), against
     # the 4 MiB of n x m float64 that a whole draw holds.
     assert peak < n * m * 8 / 2
