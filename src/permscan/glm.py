@@ -130,9 +130,8 @@ class NullModelFit:
     ``hat_basis`` is an orthonormal basis of the column space of
     sqrt(variance) * x_e; the weighted hat matrix is ``hat_basis @ hat_basis.T``
     and is never materialized except on demand for small problems. The
-    object is immutable after construction (the orthonormal complement used
-    by the modified-model scheme and the score denominators of one
-    read-only genotype matrix are cached lazily, each written at most once).
+    object is immutable after construction (the score denominators of one
+    read-only genotype matrix are cached lazily, written at most once).
     """
 
     family: Family
@@ -144,7 +143,6 @@ class NullModelFit:
     phi_hat: float
     hat_basis: np.ndarray
     iterations: int = 0
-    _q_cache: np.ndarray | None = field(default=None, repr=False)
     # (x_g, denominators) of score.score_denominators; not carried by a
     # dataclasses.replace copy, whose weights may differ.
     _denom_cache: tuple | None = field(default=None, init=False, repr=False)
@@ -164,23 +162,32 @@ class NullModelFit:
             raise ValueError(f"expected leading dimension {self.n}, got {v.shape[0]}")
         return self.hat_basis @ (self.hat_basis.T @ v)
 
-    def q_factor(self):
-        """Orthonormal n x (n-d) basis of the residual space.
+    def residual_coordinates(self, v):
+        """Q' v of a vector or matrix ``v`` of length n, where Q is the
+        orthonormal n x (n-d) basis of the residual space: Q @ Q.T
+        reproduces I - H and Q.T @ Q is the identity.
 
-        The trailing n - d columns of a complete QR factorization of
-        ``hat_basis``, so that Q @ Q.T reproduces I - H and Q.T @ Q is the
-        identity. Householder QR returns the same basis whatever the BLAS
-        thread count (an eigensolver need not, since the eigenvalue 1 is
-        repeated). Computed on first use and cached.
+        Q is the trailing n - d columns of a complete Householder QR of
+        ``hat_basis``, never formed: Q' v is the last n - d entries of
+        H_d ... H_1 v, one reflector at a time. Householder QR gives the
+        same basis whatever the BLAS thread count (an eigensolver need not,
+        since the eigenvalue 1 is repeated).
         """
-        if self._q_cache is not None:
-            return self._q_cache
         n, d = self.n, self.d
         if n - d < 2:
             raise ValueError("residual space must have dimension at least 2")
-        q = np.linalg.qr(self.hat_basis, mode="complete")[0][:, d:]
-        object.__setattr__(self, "_q_cache", q)
-        return q
+        v = np.array(v, dtype=float)
+        # Row j of h holds reflector j below its diagonal; its entry j is 1.
+        h, tau = np.linalg.qr(self.hat_basis, mode="raw")
+        for j in range(d):
+            u = h[j, j:].copy()
+            u[0] = 1.0
+            v[j:] -= np.multiply.outer(tau[j] * u, u @ v[j:])
+        return v[d:]
+
+    def q_factor(self):
+        """Dense n x (n-d) residual basis Q of ``residual_coordinates``."""
+        return self.residual_coordinates(np.eye(self.n)).T
 
 
 def expit(x):

@@ -29,17 +29,16 @@ turns one block of ``_MARKER_BLOCK`` marker columns at a time into
 statistics, so no (rows, m) array is held unless ``replicate_matrix`` asks
 for one. It is one of two kinds:
 
-* a fixed linear map: ``x_tilde`` for the transform schemes, with the
-  per-dataset denominators computed once, and no row fit. Refitting a
-  permuted normal response is a projection, so normal raw-y is
-  (I - H) x_g / denom. The normal bootstrap statistic depends on neither
-  mu_e nor phi_hat: it is z (I - H) x_g / unit_denom with each row divided
-  by its residual standard error ||(I - H) z|| / sqrt(n - d), which is its
-  row fit. Each map is built one marker block at a time from the int8
-  ``x_g`` and dropped after its block, so no n x m float matrix is held.
-  Modified-model is the exception: its Q' x_g takes all n rows of every
-  column through the dense residual basis Q, so its (n - d) x m map is
-  built once per replicate call;
+* a fixed linear map: ``exchangeable_transform``'s ``x_block`` for the
+  transform schemes, with the per-dataset denominators computed once, and
+  no row fit. Modified-model's map takes each marker block through the
+  d Householder reflectors of the residual basis. Refitting a permuted
+  normal response is a projection, so normal raw-y is (I - H) x_g / denom.
+  The normal bootstrap statistic depends on neither mu_e nor phi_hat: it
+  is z (I - H) x_g / unit_denom with each row divided by its residual
+  standard error ||(I - H) z|| / sqrt(n - d), which is its row fit. Each
+  map is built one marker block at a time from the int8 ``x_g`` and
+  dropped after its block, so no n x m float matrix is held;
 * a binomial refit: the row fit is one batch IRLS of the whole block, of
   the mean only against the observed denominators (raw-y), or of the mean
   and weights (bootstrap), whose marker map also takes each row's
@@ -153,10 +152,11 @@ _NORMAL_THEORY_SCHEMES = (
 
 
 class Transform(NamedTuple):
-    """Scheme-specific pair: replicate statistics are ``(P y_tilde) @ x_tilde``."""
+    """Scheme-specific pair: the replicate statistics of the marker columns
+    ``cols`` are ``(P y_tilde) @ x_block(cols)``."""
 
     y_tilde: np.ndarray
-    x_tilde: np.ndarray
+    x_block: Callable
 
 
 @dataclass(frozen=True)
@@ -210,12 +210,13 @@ class McAlphaLoc(NamedTuple):
     c: float
 
 
-def _transform(scheme, fit, dataset):
+def exchangeable_transform(scheme, fit, dataset):
     """The permuted vector ``y_tilde`` of a transform scheme and the
-    function that builds the columns ``cols`` of its ``x_tilde`` from the
-    int8 ``x_g`` alone. Modified-model's map, Q' x_g / denom, takes all n
-    rows of each column through the dense Q, so its whole (n - d) x m map
-    is built here, one block of x_g at a time, and sliced."""
+    function ``x_block`` that builds the columns ``cols`` of its marker map
+    from the int8 ``x_g`` alone, so that permutations of ``y_tilde`` give
+    the scheme's replicate statistics with fixed denominators. Refit-per-
+    replicate schemes (raw-y, parametric bootstrap) have no fixed transform
+    and are rejected here."""
     if scheme.refits_per_replicate:
         raise ConfigError(
             f"scheme {scheme.value!r} refits per replicate and has no fixed "
@@ -241,45 +242,25 @@ def _transform(scheme, fit, dataset):
             stacklevel=3,
         )
     denom = score_denominators(fit, dataset.x_g)
-    x_g, scale = dataset.x_g, None
+    x_g, coords = dataset.x_g, lambda x: x.astype(float)
     if scheme is ResamplingScheme.FREEDMAN_LANE:
         y_t = dataset.y - fit.hat_apply(dataset.y)
     elif scheme is ResamplingScheme.MODIFIED_MODEL:
-        q = fit.q_factor()
-        x_t = np.empty((n - d, m))
-        for cols in marker_blocks(m, _MARKER_BLOCK):
-            x_t[:, cols] = q.T @ x_g[:, cols]
-        x_t /= denom
-        return q.T @ dataset.y, lambda cols: x_t[:, cols]
+        coords = fit.residual_coordinates
+        y_t = coords(dataset.y)
     elif scheme is ResamplingScheme.STANDARDIZED_RESIDUALS:
         scale = np.sqrt(fit.variance_diag)[:, None]
+        coords = lambda x: scale * x  # noqa: E731
         y_t = fit.residuals / scale[:, 0]
     else:  # FULL_MODEL_RESIDUALS
         y_t = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g])).residuals
 
     def x_block(cols):
-        if scale is None:
-            return x_g[:, cols] / denom[cols]
-        x_t = scale * x_g[:, cols]
+        x_t = coords(x_g[:, cols])
         x_t /= denom[cols]
         return x_t
 
-    return y_t, x_block
-
-
-def exchangeable_transform(scheme, fit, dataset):
-    """Build the (y_tilde, x_tilde) pair whose permutations reproduce the
-    scheme's replicate statistics with fixed denominators.
-
-    ``x_tilde`` is stacked from the marker blocks that resampling maps one
-    at a time. Refit-per-replicate schemes (raw-y, parametric bootstrap)
-    have no fixed transform and are rejected here.
-    """
-    y_t, x_block = _transform(scheme, fit, dataset)
-    x_t = np.empty((len(y_t), dataset.m))
-    for cols in marker_blocks(dataset.m, _MARKER_BLOCK):
-        x_t[:, cols] = x_block(cols)
-    return Transform(y_tilde=y_t, x_tilde=x_t)
+    return Transform(y_t, x_block)
 
 
 class _Kernel(NamedTuple):
@@ -448,7 +429,7 @@ def _residual_markers(fit, x_g, denom, bootstrap):
 def _kernel(scheme, fit, dataset):
     """Base row, draw and row fit of ``scheme`` on ``dataset``."""
     if not scheme.refits_per_replicate:
-        y_tilde, x_block = _transform(scheme, fit, dataset)
+        y_tilde, x_block = exchangeable_transform(scheme, fit, dataset)
         return _Kernel(y_tilde, None, _linear(x_block))
     x_g, n = dataset.x_g, dataset.n
     denom = score_denominators(fit, x_g)  # rejects degenerate markers up front

@@ -1,5 +1,6 @@
 """Tests for null-model fitting and the projection structures."""
 
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -370,9 +371,17 @@ class TestQFactor:
         hat = fit.hat_apply(np.eye(30))
         assert_allclose(q @ q.T, np.eye(30) - hat, atol=1e-8)
 
-    def test_cached(self):
-        fit = fit_null(Family.NORMAL, np.arange(6.0), np.ones((6, 1)))
-        assert fit.q_factor() is fit.q_factor()
+    def test_replaced_fit_takes_its_own_basis(self):
+        # A dataclasses.replace copy with another design spans another
+        # residual space, whatever the original's basis was asked for first.
+        rng = np.random.default_rng(17)
+        fit = fit_null(Family.NORMAL, rng.standard_normal(12), _random_design(12, 2, 18))
+        fit.q_factor()
+        x_e = _random_design(12, 2, 19)
+        other = fit_null(Family.NORMAL, rng.standard_normal(12), x_e)
+        copy = dataclasses.replace(fit, x_e=x_e, hat_basis=other.hat_basis)
+        q = copy.q_factor()
+        assert_allclose(q @ q.T, np.eye(12) - copy.hat_apply(np.eye(12)), atol=1e-10)
 
     def test_basis_does_not_depend_on_blas_threads(self, tmp_path):
         # Modified-model permutes in this basis, so a basis that changed with

@@ -144,7 +144,7 @@ def test_transform_scales_only_its_own_marker_matrix_in_place(scheme, shares_x_g
     dataset, fit = _instance(Family.NORMAL, n=30, m=4, beta_e=0.5, seed=6)
     x_g = dataset.x_g.copy()
     observed = score_statistics(fit, dataset.x_g)
-    x_tilde = exchangeable_transform(scheme, fit, dataset).x_tilde
+    x_tilde = exchangeable_transform(scheme, fit, dataset).x_block(slice(None))
     assert np.array_equal(dataset.x_g, x_g)
     assert not np.shares_memory(x_tilde, dataset.x_g)
     if shares_x_g:
@@ -187,6 +187,7 @@ def _traced_peak(call):
     "family, scheme",
     [
         (Family.NORMAL, ResamplingScheme.FREEDMAN_LANE),
+        (Family.NORMAL, ResamplingScheme.MODIFIED_MODEL),
         (Family.NORMAL, ResamplingScheme.RAW_Y),
         (Family.NORMAL, ResamplingScheme.PARAMETRIC_BOOTSTRAP),
         (Family.BINOMIAL, ResamplingScheme.RAW_Y),
@@ -195,9 +196,7 @@ def _traced_peak(call):
 def test_every_per_block_marker_map_keeps_its_peak_off_m(family, scheme):
     """The bound of test_peak_memory_grows_with_x_g_not_replicates_times_markers,
     counted in int8 bytes (one a count), for the maps built one marker block
-    at a time from the int8 x_g. Modified-model is left out: its map
-    Q' x_g / denom takes all n rows of every column through the dense Q, so
-    it is held whole, (n - d) x m floats, for the whole replicate call."""
+    at a time from the int8 x_g."""
 
     def peak(m):
         dataset, fit = _instance(family, n=200, m=m, beta_e=0.5, seed=2, rho=0.5)

@@ -331,9 +331,9 @@ class TestExhaustiveMode:
             ResamplingScheme.FREEDMAN_LANE, fit, dataset, None, seed=0, exhaustive=True
         )
         assert dist.b == 5040
-        y_t, x_t = exchangeable_transform(ResamplingScheme.FREEDMAN_LANE, fit, dataset)
+        y_t, x_block = exchangeable_transform(ResamplingScheme.FREEDMAN_LANE, fit, dataset)
         perms = np.array(list(itertools.permutations(range(7))))
-        reference = np.sort(np.max(np.abs(y_t[perms] @ x_t), axis=1))
+        reference = np.sort(np.max(np.abs(y_t[perms] @ x_block(slice(None))), axis=1))
         assert_allclose(dist.max_stats, reference, rtol=1e-12, atol=0)
 
     def test_random_sampling_matches_exhaustive_distribution(self):
