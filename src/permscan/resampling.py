@@ -23,33 +23,30 @@ statistic:
 Every scheme is one *row source* feeding one *evaluator*. A replicate row is
 a permutation of a fixed base vector (the four transform schemes and raw-y),
 gathered from a block of permutation indices, or a bootstrap draw: N(0, I)
-noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator is a
-marker-free *row fit* of a block of rows followed by a *marker map* that
-turns one block of ``_MARKER_BLOCK`` marker columns at a time into
-statistics, so no (rows, m) array is held unless ``replicate_matrix`` asks
-for one. It is one of two kinds:
+noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator,
+``_evaluate``, takes a block of rows to residual rows, releases the rows and
+maps the residuals ``_MARKER_BLOCK`` marker columns at a time: a block's
+statistics are the residual rows times the block's fixed marker map, divided
+by the rows' own denominators when the scheme refits them, so no (rows, m)
+array is held unless ``replicate_matrix`` asks for one. Every marker map is
+one helper, ``_marker_block``: the int8 ``x_g[:, cols]`` through the
+scheme's coordinates, divided by the observed denominators, built per block
+and dropped after it.
 
-* a fixed linear map: ``exchangeable_transform``'s ``x_block`` for the
-  transform schemes, with the per-dataset denominators computed once, and
-  no row fit. Modified-model's map takes each marker block through the
-  d Householder reflectors of the residual basis. Refitting a permuted
-  normal response is a projection, so normal raw-y is (I - H) x_g / denom.
-  The normal bootstrap statistic depends on neither mu_e nor phi_hat: it
-  is z (I - H) x_g / unit_denom with each row divided by its residual
-  standard error ||(I - H) z|| / sqrt(n - d), which is its row fit. Each
-  map is built one marker block at a time from the int8 ``x_g`` and
-  dropped after its block, so no n x m float matrix is held;
-* a binomial refit: the row fit is one batch IRLS of the whole block, of
-  the mean only against the observed denominators (raw-y), or of the mean
-  and weights (bootstrap), whose marker map also takes each row's
-  denominators of its columns. Every x_e' W x_e, of an IRLS pass or of
-  the bootstrap's denominators, is factored by ``glm.cholesky_inverse``,
-  which masks a system whose pivot is not positive and finite. The
-  bootstrap whitens the covariates once per row fit; each marker block
-  is one product and a sum of squares. y - mu_hat is formed in the IRLS's
-  own buffer, and the drawn rows are released once the row fit has run.
-  A binomial bootstrap row is written as 0/1 floats into the buffer of the
-  uniforms it compares.
+* The transform schemes' rows are their own residuals; modified-model's
+  coordinates apply the d Householder reflectors of the residual basis and
+  standardized residuals' scale each observation.
+* Raw-y and the bootstrap refit their rows' null mean. A normal refit is the
+  projection (I - H) row; a bootstrap row is also scaled to the observed
+  residual sum of squares phi_hat (n - d), so both keep the observed
+  denominators. A binomial refit is one batch IRLS of the whole block, in
+  whose buffer y - mu_hat is formed. The binomial bootstrap also refits the
+  weights: its map is the float marker block alone, and each row's
+  denominators of a block are formed from the covariates whitened against
+  x_e' W x_e once per refit (one product and a sum of squares, no solve).
+  Every x_e' W x_e is factored by ``glm.cholesky_inverse``, which masks a
+  system whose pivot is not positive and finite. A binomial bootstrap row
+  is written as 0/1 floats into the buffer of the uniforms it compares.
 
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
@@ -71,6 +68,7 @@ import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations as _all_permutations
 from typing import Callable, NamedTuple
 
@@ -242,7 +240,7 @@ def exchangeable_transform(scheme, fit, dataset):
             stacklevel=3,
         )
     denom = score_denominators(fit, dataset.x_g)
-    x_g, coords = dataset.x_g, lambda x: x.astype(float)
+    x_g, coords = dataset.x_g, _as_float
     if scheme is ResamplingScheme.FREEDMAN_LANE:
         y_t = dataset.y - fit.hat_apply(dataset.y)
     elif scheme is ResamplingScheme.MODIFIED_MODEL:
@@ -254,27 +252,37 @@ def exchangeable_transform(scheme, fit, dataset):
         y_t = fit.residuals / scale[:, 0]
     else:  # FULL_MODEL_RESIDUALS
         y_t = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g])).residuals
+    return Transform(y_t, partial(_marker_block, x_g, coords, denom))
 
-    def x_block(cols):
-        x_t = coords(x_g[:, cols])
+
+def _as_float(x):
+    return x.astype(float)
+
+
+def _marker_block(x_g, coords, denom, cols):
+    """Fixed marker map of the columns ``cols``: ``coords`` of the int8
+    ``x_g[:, cols]`` divided by ``denom[cols]``, or the float block alone
+    when ``denom`` is None."""
+    x_t = coords(x_g[:, cols])
+    if denom is not None:
         x_t /= denom[cols]
-        return x_t
-
-    return Transform(y_t, x_block)
+    return x_t
 
 
 class _Kernel(NamedTuple):
-    """A scheme's replicate machinery: ``base`` is the identity replicate's
-    row, ``draw(gen, rows)`` returns a (rows, length) block of bootstrap
-    rows, or is None when the rows are permutations of ``base``, and
-    ``fit(rows)`` is the marker-free row fit of a block. It returns the
-    block's marker map and the mask of rows whose fit succeeded; the marker
-    map takes a slice of marker columns and returns their (rows, columns)
-    statistics with the mask of rows that stay regular on those columns."""
+    """A scheme's replicate machinery. ``base`` is the identity replicate's
+    row. ``draw(gen, rows)`` returns a (rows, length) block of bootstrap
+    rows, or is None when the rows are permutations of ``base``.
+    ``refit(rows)`` returns the block's residual rows, the mask of rows
+    that fit and their ``_refit_weights`` (None when the observed
+    denominators hold); it is None for the transform schemes, whose rows
+    are their own residuals. ``x_block(cols)`` is the fixed marker map of
+    the columns ``cols``."""
 
     base: np.ndarray
     draw: Callable | None
-    fit: Callable
+    refit: Callable | None
+    x_block: Callable
 
 
 # Permutation index blocks keyed by (seed, *path, block, rows, length), which
@@ -312,54 +320,27 @@ def _draw(kernel, rows, seed, *path, share=False):
     return kernel.base[blocks[key]]
 
 
-def _linear(x_block, hat_basis=None):
-    """Row fit whose marker map is ``rows @ x_block(cols)``. Given
-    ``hat_basis``, the row fit takes each row's residual standard error
-    ||(I - H) row|| / sqrt(n - d), and the map divides each row by it."""
-
-    def fit(rows):
-        scale = None
-        if hat_basis is not None:
-            n, d = hat_basis.shape
-            resid = rows - (rows @ hat_basis) @ hat_basis.T
-            scale = np.sqrt(np.einsum("bn,bn->b", resid, resid) / (n - d))[:, None]
-
-        def marker_map(cols):
-            stats = rows @ x_block(cols)
-            if scale is not None:
-                stats /= scale
-            return stats, True
-
-        return marker_map, np.ones(rows.shape[0], dtype=bool)
-
-    return fit
+def _binomial_refit(x_e, bootstrap, rows):
+    """Batch IRLS of the binomial null mean on every row: the residuals,
+    formed in the IRLS's own buffer, the mask of rows that fit and, for the
+    bootstrap, the rows' ``_refit_weights``."""
+    irls = binomial_irls(x_e, rows)
+    weights = _refit_weights(x_e, irls.mu) if bootstrap else None
+    return np.subtract(rows, irls.mu, out=irls.mu), irls.ok, weights
 
 
-def _binomial_refit(x_e, x_g, denom):
-    """Row fit that refits the binomial null mean on every row by batch
-    IRLS. With the observed ``denom`` only the mean is refit; with
-    ``denom=None`` the row fit also takes the variance weights, and the
-    marker map each row's denominators of its columns. The map keeps the
-    residuals, formed in the IRLS's own buffer, and not the rows."""
-
-    def fit(rows):
-        irls = binomial_irls(x_e, rows)
-        weights = None if denom is not None else _refit_weights(x_e, irls.mu)
-        resid = np.subtract(rows, irls.mu, out=irls.mu)
-
-        def marker_map(cols):
-            x_cols = x_g[:, cols].astype(float)
-            if weights is None:
-                row_denom, ok = denom[cols], True
-            else:
-                row_denom, ok = _refit_block_denominators(weights, x_cols)
-            stats = resid @ x_cols
-            stats /= row_denom
-            return stats, ok
-
-        return marker_map, irls.ok
-
-    return fit
+def _normal_refit(fit, bootstrap, rows):
+    """Normal least-squares refit of every row: its residuals (I - H) row.
+    A bootstrap row of N(0, I) noise is also scaled to the norm
+    sqrt(phi_hat (n - d)) of the observed residuals, so that against the
+    observed denominators sqrt(phi_hat) ||(I - H) x|| its statistics take
+    its own residual standard error, as a refit of the row would."""
+    resid = (rows @ fit.hat_basis) @ fit.hat_basis.T
+    np.subtract(rows, resid, out=resid)
+    if bootstrap:
+        ss = np.einsum("bn,bn->b", resid, resid)
+        resid *= np.sqrt(fit.phi_hat * (fit.n - fit.d) / ss)[:, None]
+    return resid, np.ones(len(rows), dtype=bool), None
 
 
 def _refit_weights(x_e, mu):
@@ -409,66 +390,53 @@ def _bernoulli_rows(gen, rows, mu_e):
     return np.less(u, mu_e, out=u, casting="unsafe")
 
 
-def _residual_markers(fit, x_g, denom, bootstrap):
-    """Marker block map (I - H) x_g[:, cols] of the normal raw-y and
-    bootstrap, divided by the observed denominators (raw-y) or by its own
-    column norms (bootstrap)."""
-
-    def x_block(cols):
-        x_cols = x_g[:, cols]
-        resid_x = x_cols - fit.hat_apply(x_cols)
-        if bootstrap:
-            resid_x /= np.sqrt(np.einsum("ij,ij->j", resid_x, resid_x))
-        else:
-            resid_x /= denom[cols]
-        return resid_x
-
-    return x_block
-
-
 def _kernel(scheme, fit, dataset):
-    """Base row, draw and row fit of ``scheme`` on ``dataset``."""
+    """Base row, draw, refit and marker map of ``scheme`` on ``dataset``."""
     if not scheme.refits_per_replicate:
         y_tilde, x_block = exchangeable_transform(scheme, fit, dataset)
-        return _Kernel(y_tilde, None, _linear(x_block))
-    x_g, n = dataset.x_g, dataset.n
-    denom = score_denominators(fit, x_g)  # rejects degenerate markers up front
+        return _Kernel(y_tilde, None, None, x_block)
+    denom = score_denominators(fit, dataset.x_g)  # rejects degenerate markers up front
     bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
+    draw = None
     if fit.family is Family.NORMAL:
-        x_block = _residual_markers(fit, x_g, denom, bootstrap)
-        if not bootstrap:
-            return _Kernel(dataset.y, None, _linear(x_block))
-        return _Kernel(
-            fit.residuals / math.sqrt(fit.phi_hat),
-            lambda gen, rows: gen.standard_normal((rows, n)),
-            _linear(x_block, fit.hat_basis),
-        )
-    if not bootstrap:
-        return _Kernel(dataset.y, None, _binomial_refit(dataset.x_e, x_g, denom))
-    return _Kernel(
-        dataset.y,
-        lambda gen, rows: _bernoulli_rows(gen, rows, fit.mu_e),
-        _binomial_refit(dataset.x_e, x_g, None),
-    )
+        refit = partial(_normal_refit, fit, bootstrap)
+        if bootstrap:
+            draw = lambda gen, rows: gen.standard_normal((rows, dataset.n))  # noqa: E731
+    else:
+        refit = partial(_binomial_refit, dataset.x_e, bootstrap)
+        if bootstrap:
+            draw = lambda gen, rows: _bernoulli_rows(gen, rows, fit.mu_e)  # noqa: E731
+            denom = None  # each row's own, from its refit weights
+    return _Kernel(dataset.y, draw, refit, partial(_marker_block, dataset.x_g, _as_float, denom))
 
 
 def _evaluate(kernel, rows, m, full):
     """Statistics of a block of replicate rows, mapped _MARKER_BLOCK marker
     columns at a time: the (rows, m) matrix if ``full``, else each row's
-    running maximum of |t|. Returns them with the mask of rows whose fit
-    succeeded and stayed regular on every column. The rows are released
-    once fit, unless the caller or the marker map holds them."""
-    marker_map, ok = kernel.fit(rows)
+    running maximum of |t|. Returns them with the mask of rows whose refit
+    succeeded and stayed regular on every column. A refit's rows are
+    released once refit, unless the caller holds them."""
+    resid, ok, weights = rows, np.ones(len(rows), dtype=bool), None
+    if kernel.refit is not None:
+        resid, ok, weights = kernel.refit(rows)
     out = np.empty((len(rows), m)) if full else np.zeros(len(rows))
     del rows
     for cols in marker_blocks(m, _MARKER_BLOCK):
-        stats, cols_ok = marker_map(cols)
-        ok &= cols_ok
+        x_cols = kernel.x_block(cols)
+        if weights is None:
+            stats = resid @ x_cols
+        else:
+            # The denominators come first, so their transients never meet
+            # the statistics, which then take their buffer.
+            row_denom, cols_ok = _refit_block_denominators(weights, x_cols)
+            ok &= cols_ok
+            stats = np.divide(resid @ x_cols, row_denom, out=row_denom)
+            del row_denom
         if full:
             out[:, cols] = stats
         else:
             np.maximum(out, np.abs(stats, out=stats).max(axis=1), out=out)
-        del stats  # before the next block's are formed
+        del stats, x_cols  # before the next block's are formed
     return out, ok
 
 
@@ -499,10 +467,10 @@ def _statistics(
             raise ConfigError("exhaustive mode is defined for permutation schemes only")
         fixed = np.array(list(_all_permutations(range(length))), dtype=np.intp)
         b = len(fixed)
-    elif b < 1:
-        raise ConfigError("need at least one replicate")
-    elif force_identity:
-        fixed = np.broadcast_to(np.arange(length), (b, length))
+    else:
+        b = check_integer("b", b, 1)
+        if force_identity:
+            fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
     path, m = (*path, RESAMPLING_LANE), dataset.m
 
@@ -577,8 +545,7 @@ def check_cutoff_request(b, alpha):
     """Raise unless ``b`` replicates can give a cutoff at FWER level
     ``alpha``: ``alpha`` in (0, 1) and at least one replicate above the
     ceil(b(1 - alpha)) order statistic. Callers check before resampling."""
-    if b < 1:
-        raise ConfigError("need at least one replicate")
+    check_integer("b", b, 1)
     if not 0.0 < alpha < 1.0:
         raise ConfigError("alpha must be in (0, 1)")
     if b * (1.0 - alpha) < 1.0:
@@ -669,8 +636,9 @@ def bonferroni_sidak(m, alpha):
 
 
 def check_mc_draws(draws):
-    """Raise unless ``draws`` is at least 2; callers check before resampling."""
-    if draws < 2:
+    """Raise unless ``draws`` is an integer of at least 2; callers check
+    before resampling."""
+    if check_integer("draws", draws, -math.inf) < 2:
         raise ConfigError("need at least two Monte Carlo draws")
 
 

@@ -79,25 +79,12 @@ def test_retries_do_not_depend_on_marker_blocks(monkeypatch, scheme):
 def test_a_row_failing_only_on_its_last_block_is_redrawn(monkeypatch):
     # Row 5 of the first draw block fails on the last of three marker blocks
     # after its running maximum has taken in the first two; the maximum of
-    # its first retry, from stream (seed, lane, 5, 1), replaces it.
-    dataset, fit = _instance(Family.NORMAL, n=40, m=6, beta_e=0.5, seed=3)
+    # its first retry, from stream (seed, lane, 5, 1), replaces it. The
+    # failure is a masked row of the bootstrap's per-block denominators.
+    dataset, fit = _instance(Family.BINOMIAL, n=40, m=6, beta_e=0.5, seed=3)
     scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
     monkeypatch.setattr(resampling, "_MARKER_BLOCK", 2)
     kernel = resampling._kernel(scheme, fit, dataset)
-
-    def failing_fit(rows):
-        marker_map, ok = kernel.fit(rows)
-
-        def last_block_fails(cols):
-            stats, cols_ok = marker_map(cols)
-            if len(rows) > 1 and cols.start == 4:
-                cols_ok = np.arange(len(rows)) != 5
-            return stats, cols_ok
-
-        return last_block_fails, ok
-
-    monkeypatch.setattr(resampling, "_kernel", lambda *args: kernel._replace(fit=failing_fit))
-    dist = replicate_statistics(scheme, fit, dataset, 20, seed=8)
 
     def maxima(rows):
         stats, ok = resampling._evaluate(kernel, rows, dataset.m, True)
@@ -106,6 +93,18 @@ def test_a_row_failing_only_on_its_last_block_is_redrawn(monkeypatch):
 
     expected = maxima(kernel.draw(substream(8, RESAMPLING_LANE, 0), 20))
     expected[5] = maxima(kernel.draw(substream(8, RESAMPLING_LANE, 5, 1), 1))[0]
+    real, failed = resampling._refit_block_denominators, []
+
+    def last_block_fails(weights, x_cols):
+        row_denom, ok = real(weights, x_cols)
+        if len(ok) > 1 and np.array_equal(x_cols, dataset.x_g[:, 4:]):
+            failed.append(5)
+            ok = ok & (np.arange(len(ok)) != 5)
+        return row_denom, ok
+
+    monkeypatch.setattr(resampling, "_refit_block_denominators", last_block_fails)
+    dist = replicate_statistics(scheme, fit, dataset, 20, seed=8)
+    assert failed == [5]
     assert np.array_equal(dist.max_stats, np.sort(expected))
 
 

@@ -22,6 +22,7 @@ from permscan import (
     ResamplingScheme,
     ScoreCorrelation,
     SimulationConfig,
+    alpha_loc_study,
     bonferroni_sidak,
     cutoff_ci,
     exchangeable_transform,
@@ -780,3 +781,29 @@ class TestSeedCheck:
             replicate_matrix(scheme, fit, dataset, 20, np.int64(4)),
             replicate_matrix(scheme, fit, dataset, 20, 4),
         )
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize(
+        "count", [10.5, np.float64(20.0), "3", True], ids=["float", "np-float", "str", "bool"]
+    )
+    def test_replicate_count_is_an_integer(self, count, monkeypatch):
+        dataset, fit = _normal_instance()
+
+        def no_work(*args, **kwargs):
+            pytest.fail("worked before checking the replicate count")
+
+        monkeypatch.setattr(resampling, "_kernel", no_work)
+        for resampler in (replicate_statistics, replicate_matrix):
+            with pytest.raises(ConfigError, match="b must be an integer"):
+                resampler(ResamplingScheme.FREEDMAN_LANE, fit, dataset, count, 1)
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(ConfigError, match="b must be an integer"):
+            alpha_loc_study(sim, ResamplingScheme.FREEDMAN_LANE, b=count)
+
+    @pytest.mark.parametrize(
+        "draws", [2.5, np.float64(20.0), "3", True], ids=["float", "np-float", "str", "bool"]
+    )
+    def test_monte_carlo_draw_count_is_an_integer(self, draws):
+        with pytest.raises(ConfigError, match="draws must be an integer"):
+            mc_mvn_alpha_loc(np.eye(3), 0.05, draws=draws, seed=1)
