@@ -78,7 +78,8 @@ class SizeLimitError(ConfigError):
 
 
 class InvalidCorrelationError(ConfigError):
-    """A correlation matrix is not positive semidefinite within tolerance."""
+    """A correlation matrix is not finite, symmetric and positive
+    semidefinite within tolerance."""
 
 
 def check_integer(name, value, low):

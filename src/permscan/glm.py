@@ -293,7 +293,7 @@ def _separated(mu, coef, x_scale):
     return separated
 
 
-def binomial_irls(x_e, ys):
+def binomial_irls(x_e, ys, buffers=None):
     """Logistic fit of every 0/1 row of ``ys`` on ``x_e`` by batch IRLS.
 
     The start is mu = (y + 1/2) / 2, where every weight is 3/16 and the
@@ -304,12 +304,12 @@ def binomial_irls(x_e, ys):
     system, pass 1's x' x included as a batch of one, is solved as
     L^-T L^-1 through ``cholesky_inverse``, and a singular one gives a zero
     step. mu and the weights live in two (rows, n) buffers updated in place,
-    and ``mu`` of the result is the first of them. A row has converged once
-    its Newton step is at most IRLS_STEP_TOL times 1 + max|coef| in the max
-    norm, so none converges on pass 1. Separated coefficients diverge and
-    never converge; separation is diagnosed on the probabilities of every
-    pass. The loop stops when every row has converged or separated, or
-    after IRLS_MAX_ITER passes.
+    the pair ``buffers`` or two fresh ones, and ``mu`` of the result is the
+    first. A row has converged once its Newton step is at most
+    IRLS_STEP_TOL times 1 + max|coef| in the max norm, so none converges on
+    pass 1. Separated coefficients diverge and never converge; separation
+    is diagnosed on the probabilities of every pass. The loop stops when
+    every row has converged or separated, or after IRLS_MAX_ITER passes.
     """
     batch, d = ys.shape[0], x_e.shape[1]
     converged = np.zeros(batch, dtype=bool)
@@ -320,7 +320,7 @@ def binomial_irls(x_e, ys):
     singular = np.full(batch, not ok)
     gram = outer_rows(x_e)
     x_scale = np.abs(x_e).max(axis=0)
-    mu, work = np.empty(ys.shape), np.empty(ys.shape)
+    mu, work = (np.empty(ys.shape), np.empty(ys.shape)) if buffers is None else buffers
     iteration = 1
     while True:
         _expit_in_place(np.matmul(coef, x_e.T, out=mu))

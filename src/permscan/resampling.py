@@ -24,7 +24,7 @@ Every scheme is one *row source* feeding one *evaluator*. A replicate row is
 a permutation of a fixed base vector (the four transform schemes and raw-y),
 gathered from a block of permutation indices, or a bootstrap draw: N(0, I)
 noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator,
-``_evaluate``, takes a block of rows to residual rows, releases the rows and
+``_evaluate``, takes a block of rows to residual rows, drops the rows and
 maps the residuals ``_MARKER_BLOCK`` marker columns at a time: a block's
 statistics are the residual rows times the block's fixed marker map, divided
 by the rows' own denominators when the scheme refits them, so no (rows, m)
@@ -52,14 +52,21 @@ Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
 (whose docstring lays out every key), so replicate r is the same row
 whatever the number of replicates. Permutation indices depend only on the
-stream and the length, so inside ``shared_permutations`` (a study's scheme
-loop over one dataset) each index block is drawn once and shared by every
-permuting scheme of that length. A row whose binomial refit fails
-(separation, non-convergence, a masked system) is redrawn, at most
-``MAX_REPLICATE_RETRIES`` times, each attempt from its own stream. Test
-hooks replace the draws with fixed index rows: the identity
-(``force_identity``) or every permutation (``exhaustive``). A fixed row is
-never redrawn, so its failed refit raises at once.
+stream and the length, so inside ``replicate_workspace`` each index block
+of a dataset is drawn once and shared by every permuting scheme of that
+length. A row whose binomial refit fails (separation, non-convergence, a
+masked system) is redrawn, at most ``MAX_REPLICATE_RETRIES`` times, each
+attempt from its own stream. Test hooks replace the draws with fixed index
+rows: the identity (``force_identity``) or every permutation
+(``exhaustive``). A fixed row is never redrawn, so its failed refit raises
+at once.
+
+A study (``run_study``, in ``replicate_workspace``) holds for its lifetime
+buffers of about 8 x rows x n bytes each: the index block of each (block,
+permuted length), the drawn rows, the normal refit's residuals, the IRLS
+mu and the bootstrap's (d, rows, n) whitened block, whose slice 0 is the
+IRLS weights. It releases them when it returns or raises. Redrawn rows and
+returned arrays are fresh; ``scan`` allocates per block.
 """
 
 import enum
@@ -114,6 +121,8 @@ EXHAUSTIVE_LENGTH_LIMIT = 8
 CUTOFF_CONF = 0.95
 # Bootstrap resamples behind mc_mvn_alpha_loc's standard error.
 MC_BOOTSTRAPS = 100
+# mc_mvn_alpha_loc's tolerance on |R - R'| and on R's least eigenvalue.
+_CORRELATION_TOL = 1e-8
 # Replicates per random stream. Part of the stream definition: changing it
 # changes every draw. Fixed blocks keep replicate r the same for any b.
 _CHUNK = 1024
@@ -271,8 +280,8 @@ def _marker_block(x_g, coords, denom, cols):
 
 class _Kernel(NamedTuple):
     """A scheme's replicate machinery. ``base`` is the identity replicate's
-    row. ``draw(gen, rows)`` returns a (rows, length) block of bootstrap
-    rows, or is None when the rows are permutations of ``base``.
+    row. ``draw(gen, rows, out=None)`` returns a (rows, length) block of
+    bootstrap rows, in ``out`` if given, or is None for permutations.
     ``refit(rows)`` returns the block's residual rows, the mask of rows
     that fit and their ``_refit_weights`` (None when the observed
     denominators hold); it is None for the transform schemes, whose rows
@@ -285,46 +294,65 @@ class _Kernel(NamedTuple):
     x_block: Callable
 
 
-# Permutation index blocks keyed by (seed, *path, block, rows, length), which
-# alone determine them; None outside ``shared_permutations``.
-_shared_blocks = ContextVar("_shared_blocks", default=None)
+# The running study's flat float buffers by name, and the (stream key, intp
+# index block) slot of each (block, length); None outside a workspace.
+_workspace = ContextVar("_workspace", default=None)
 
 
 @contextmanager
-def shared_permutations():
-    """Within the block, a permutation block drawn for one scheme is reused
-    by every later scheme that permutes a vector of the same length from the
+def replicate_workspace():
+    """Within the block, replicate blocks draw and refit in buffers held
+    until exit, and a permutation block drawn for one scheme is reused by
+    every later scheme that permutes a vector of the same length from the
     same stream. ``Generator.permuted`` moves positions without reading
     values, so the replicates are the ones each scheme would draw alone."""
-    token = _shared_blocks.set({})
+    token = _workspace.set({})
     try:
         yield
     finally:
-        _shared_blocks.reset(token)
+        _workspace.reset(token)
+
+
+def _buffer(name, shape):
+    """An uninitialised float array of ``shape``: the leading part of the
+    workspace's buffer ``name``, grown to the largest size asked of it, or
+    a fresh array outside a workspace."""
+    space = _workspace.get()
+    if space is None:
+        return np.empty(shape)
+    size, flat = math.prod(shape), space.get(name)
+    if flat is None or flat.size < size:
+        flat = space[name] = np.empty(size)
+    return flat[:size].reshape(shape)
 
 
 def _draw(kernel, rows, seed, *path, share=False):
     """``rows`` replicate rows from the stream ``(seed, *path)``. A permuting
-    kernel gathers them from a block of intp permutation indices; with
-    ``share`` inside ``shared_permutations`` that block is drawn once per
-    stream, size and length."""
-    if kernel.draw is not None:
-        return kernel.draw(substream(seed, *path), rows)
+    kernel gathers them from a block of intp permutation indices. With
+    ``share`` in a workspace, the rows take its row buffer and the indices
+    their (block, length) slot, redrawn only when it holds another stream;
+    else both are fresh, so that rows drawn one by one never alias."""
     length = len(kernel.base)
-    shared = _shared_blocks.get() if share else None
-    blocks = {} if shared is None else shared
-    key = (seed, *path, rows, length)
-    if key not in blocks:
-        index = np.tile(np.arange(length, dtype=np.intp), (rows, 1))
-        blocks[key] = substream(seed, *path).permuted(index, axis=1, out=index)
-    return kernel.base[blocks[key]]
+    space = _workspace.get() if share else None
+    out = None if space is None else _buffer("rows", (rows, length))
+    if kernel.draw is not None:
+        return kernel.draw(substream(seed, *path), rows, out=out)
+    key, slots = (seed, *path, rows), {} if space is None else space
+    held, index = slots.get((path[-1], length), (None, None))
+    if held != key:
+        if index is None or index.shape != (rows, length):
+            index = np.empty((rows, length), dtype=np.intp)
+        index[:] = np.arange(length)
+        substream(seed, *path).permuted(index, axis=1, out=index)
+        slots[path[-1], length] = (key, index)
+    return np.take(kernel.base, index, out=out, mode="wrap")  # "raise" buffers a copy
 
 
 def _binomial_refit(x_e, bootstrap, rows):
-    """Batch IRLS of the binomial null mean on every row: the residuals,
-    formed in the IRLS's own buffer, the mask of rows that fit and, for the
-    bootstrap, the rows' ``_refit_weights``."""
-    irls = binomial_irls(x_e, rows)
+    """Batch IRLS of the binomial null mean on every row, its weights in
+    slice 0 of the later whitened block: the residuals, formed in the IRLS's
+    mu, the mask of rows that fit and, for the bootstrap, the weights."""
+    irls = binomial_irls(x_e, rows, (_buffer("mu", rows.shape), _buffer("whitened", rows.shape)))
     weights = _refit_weights(x_e, irls.mu) if bootstrap else None
     return np.subtract(rows, irls.mu, out=irls.mu), irls.ok, weights
 
@@ -335,7 +363,7 @@ def _normal_refit(fit, bootstrap, rows):
     sqrt(phi_hat (n - d)) of the observed residuals, so that against the
     observed denominators sqrt(phi_hat) ||(I - H) x|| its statistics take
     its own residual standard error, as a refit of the row would."""
-    resid = (rows @ fit.hat_basis) @ fit.hat_basis.T
+    resid = np.matmul(rows @ fit.hat_basis, fit.hat_basis.T, out=_buffer("resid", rows.shape))
     np.subtract(rows, resid, out=resid)
     if bootstrap:
         ss = np.einsum("bn,bn->b", resid, resid)
@@ -355,7 +383,7 @@ def _refit_weights(x_e, mu):
     w / l_00.
     """
     (rows, n), d = mu.shape, x_e.shape[1]
-    whitened = np.empty((d, rows, n))
+    whitened = _buffer("whitened", (d, rows, n))
     w = np.subtract(1.0, mu, out=whitened[0])
     w *= mu
     inv, ok = cholesky_inverse((w @ outer_rows(x_e)).reshape(rows, d, d))
@@ -383,10 +411,10 @@ def _refit_block_denominators(weights, x_cols):
     return np.sqrt(denom_sq, out=denom_sq), ok
 
 
-def _bernoulli_rows(gen, rows, mu_e):
+def _bernoulli_rows(gen, rows, mu_e, out=None):
     """(rows, n) block of 0/1 draws with probabilities ``mu_e``, written as
-    floats into the buffer of the uniforms they compare."""
-    u = gen.random((rows, len(mu_e)))
+    floats into the buffer ``out`` of the uniforms they compare."""
+    u = gen.random((rows, len(mu_e)), out=out)
     return np.less(u, mu_e, out=u, casting="unsafe")
 
 
@@ -401,11 +429,11 @@ def _kernel(scheme, fit, dataset):
     if fit.family is Family.NORMAL:
         refit = partial(_normal_refit, fit, bootstrap)
         if bootstrap:
-            draw = lambda gen, rows: gen.standard_normal((rows, dataset.n))  # noqa: E731
+            draw = lambda g, r, out=None: g.standard_normal((r, dataset.n), out=out)  # noqa: E731
     else:
         refit = partial(_binomial_refit, dataset.x_e, bootstrap)
         if bootstrap:
-            draw = lambda gen, rows: _bernoulli_rows(gen, rows, fit.mu_e)  # noqa: E731
+            draw = partial(_bernoulli_rows, mu_e=fit.mu_e)
             denom = None  # each row's own, from its refit weights
     return _Kernel(dataset.y, draw, refit, partial(_marker_block, dataset.x_g, _as_float, denom))
 
@@ -415,7 +443,7 @@ def _evaluate(kernel, rows, m, full):
     columns at a time: the (rows, m) matrix if ``full``, else each row's
     running maximum of |t|. Returns them with the mask of rows whose refit
     succeeded and stayed regular on every column. A refit's rows are
-    released once refit, unless the caller holds them."""
+    released once refit, unless the caller or a workspace holds them."""
     resid, ok, weights = rows, np.ones(len(rows), dtype=bool), None
     if kernel.refit is not None:
         resid, ok, weights = kernel.refit(rows)
@@ -650,16 +678,22 @@ def mc_mvn_alpha_loc(correlation, alpha, draws, seed):
     quantile of the maximal absolute component and returns
     2 * Phi(-cutoff) with a standard error from MC_BOOTSTRAPS bootstrap
     resamples of the draws. Both draw from the Monte Carlo lane of ``seed``.
+    ``R`` must be square and non-empty (else ConfigError), finite,
+    symmetric and PSD within _CORRELATION_TOL (else InvalidCorrelationError).
     """
     check_integer("seed", seed, 0)
     r = np.asarray(getattr(correlation, "r", correlation), dtype=float)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        raise ConfigError("correlation must be a square matrix")
+    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.size == 0:
+        raise ConfigError("correlation must be a square matrix of at least one marker")
     check_mc_draws(draws)
-    eigenvalues, eigenvectors = np.linalg.eigh(r)
-    if eigenvalues.min() < -1e-8:
+    if not np.isfinite(r).all() or np.abs(r - r.T).max() > _CORRELATION_TOL:
         raise InvalidCorrelationError(
-            f"correlation matrix has eigenvalue {eigenvalues.min():.3g} < -1e-8"
+            f"correlation matrix must be finite and symmetric within {_CORRELATION_TOL:g}"
+        )
+    eigenvalues, eigenvectors = np.linalg.eigh(r)
+    if eigenvalues.min() < -_CORRELATION_TOL:
+        raise InvalidCorrelationError(
+            f"correlation matrix has eigenvalue {eigenvalues.min():.3g} < {-_CORRELATION_TOL:g}"
         )
     factor = (eigenvectors * np.sqrt(np.clip(eigenvalues, 0.0, None))) @ eigenvectors.T
     m = r.shape[0]

@@ -34,7 +34,7 @@ from .resampling import (
     mc_mvn_alpha_loc,
     per_dataset_fwer,
     replicate_statistics,
-    shared_permutations,
+    replicate_workspace,
 )
 from .score import score_correlation, score_statistics
 from .simulate import SimulationConfig, check_integers, simulate_dataset
@@ -206,11 +206,10 @@ def _one_blas_thread():
 def _dataset_alpha_hats(config, k):
     """alpha_hat_k for every scheme on dataset k (worker task), with the
     warnings the dataset raised. They are recorded under the caller's
-    filters, so a filter that turns a warning into an error raises here.
-    The permuting schemes share their index blocks (``shared_permutations``)."""
+    filters, so a filter that turns a warning into an error raises here."""
     sim = replace(config.sim, seed=config.master_seed)
     try:
-        with warnings.catch_warnings(record=True) as caught, shared_permutations():
+        with warnings.catch_warnings(record=True) as caught:
             simulated = simulate_dataset(sim, stream_path=(k,))
             dataset = simulated.dataset
             fit = fit_null(sim.family, dataset.y, dataset.x_e)
@@ -251,6 +250,10 @@ def run_study(config):
     keyed by dataset index, so the result is identical for any worker count.
     Each distinct warning the datasets raise is emitted once, whatever the
     worker count.
+    The loop runs in one ``replicate_workspace``, which holds the replicate
+    buffers (index blocks, drawn rows, refit residuals, IRLS and whitening
+    blocks; about 8 x rows x n bytes each) until the study returns or
+    raises. Forked pool workers inherit it; other workers allocate per block.
     """
     alpha_hat = {scheme: np.empty(config.k) for scheme in config.schemes}
     seconds = {scheme: 0.0 for scheme in config.schemes}
@@ -259,6 +262,7 @@ def run_study(config):
     emitted = set()
     with ExitStack() as stack:
         stack.enter_context(_one_blas_thread())
+        stack.enter_context(replicate_workspace())
         results = map(task, range(config.k))
         if workers > 1:
             pool = stack.enter_context(

@@ -85,8 +85,8 @@ def test_a_bootstrap_redraws_a_replicate_whose_system_is_singular(monkeypatch):
     plain = replicate_matrix(BOOTSTRAP, fit, dataset, 600, seed=8)
     real, batches = resampling.binomial_irls, []
 
-    def singular_row_five(x_e, ys):
-        irls = real(x_e, ys)
+    def singular_row_five(x_e, ys, *buffers):
+        irls = real(x_e, ys, *buffers)
         if not batches:
             irls.mu[5, :15] = 0.0
         batches.append(len(ys))

@@ -576,6 +576,25 @@ class TestMcMvnAlphaLoc:
         with pytest.raises(InvalidCorrelationError):
             mc_mvn_alpha_loc(bad, 0.05, draws=1000, seed=21)
 
+    @pytest.mark.parametrize(
+        "r, error, message",
+        [
+            (np.zeros((0, 0)), ConfigError, "square matrix of at least one marker"),
+            ([[1.0, np.nan], [np.nan, 1.0]], InvalidCorrelationError, "finite and symmetric"),
+            # eigh would read the lower triangle alone and return a level.
+            ([[1.0, 2.0], [0.0, 1.0]], InvalidCorrelationError, "finite and symmetric"),
+        ],
+        ids=["empty", "nan", "asymmetric"],
+    )
+    def test_rejects_a_matrix_that_is_not_a_correlation_matrix(self, r, error, message):
+        with pytest.raises(error, match=message) as raised:
+            mc_mvn_alpha_loc(r, 0.05, draws=1000, seed=22)
+        assert type(raised.value) is error
+
+    def test_accepts_rounding_asymmetry_within_the_tolerance(self):
+        r = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
+        assert 0.0 < mc_mvn_alpha_loc(r, 0.05, draws=1000, seed=23).alpha_loc < 1.0
+
 
 class TestSecondMomentExchangeability:
     def test_modified_model_transform_is_white(self):

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import threading
 import warnings
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ from permscan import (
     alpha_loc_study,
     fit_null,
     per_dataset_fwer,
+    replicate_matrix,
     replicate_statistics,
     run_study,
     score_statistics,
@@ -529,20 +531,110 @@ class TestSharedPermutations:
 
     def test_no_block_outlives_the_study(self):
         run_study(_small_config(k=2))
-        assert resampling._shared_blocks.get() is None
+        assert resampling._workspace.get() is None
 
     def test_no_block_outlives_a_failed_dataset(self, monkeypatch):
         cached = []
 
         def failing(dist, observed):
-            cached.append(len(resampling._shared_blocks.get()))
+            cached.append(sum(isinstance(key, tuple) for key in resampling._workspace.get()))
             raise FitError("fit failed")
 
         monkeypatch.setattr(study, "per_dataset_fwer", failing)
         with pytest.raises(FitError, match="dataset 0: fit failed"):
             run_study(_small_config(k=2))
         assert cached == [1]  # freedman-lane's block, drawn inside the scope
-        assert resampling._shared_blocks.get() is None
+        assert resampling._workspace.get() is None
+
+
+def _workspace_arrays():
+    """Every buffer and index block of the running workspace."""
+    held = resampling._workspace.get().values()
+    return [value[1] if isinstance(value, tuple) else value for value in held]
+
+
+class TestReplicateWorkspace:
+    """A study draws and refits its replicate blocks in buffers it holds
+    until it returns; nothing it returns aliases them."""
+
+    @pytest.mark.parametrize(
+        "scheme, n, seed",
+        [(ResamplingScheme.RAW_Y, 12, 2), (ResamplingScheme.PARAMETRIC_BOOTSTRAP, 30, 1)],
+    )
+    def test_redrawn_rows_are_the_rows_drawn_outside(self, monkeypatch, scheme, n, seed):
+        # At beta_e=2 many rows fail to refit and are redrawn one by one
+        # (raw-y's permuted responses separate only at a smaller n); each
+        # redrawn row must take its own array.
+        sim = SimulationConfig(n=n, m=5, family=Family.BINOMIAL, beta_e=2.0, seed=seed)
+        dataset = simulate_dataset(sim).dataset
+        fit = fit_null(sim.family, dataset.y, dataset.x_e)
+        outside = replicate_matrix(scheme, fit, dataset, 2048, 5)
+        retries = []
+
+        def counting(seed, *path):
+            if len(path) == 3:  # (lane, replicate, attempt)
+                retries.append(path)
+            return substream(seed, *path)
+
+        monkeypatch.setattr(resampling, "substream", counting)
+        with resampling.replicate_workspace():
+            inside = replicate_matrix(scheme, fit, dataset, 2048, 5)
+            assert resampling._workspace.get()
+        assert len({path[1] for path in retries}) >= 10
+        assert inside.tobytes() == outside.tobytes()
+
+    @pytest.mark.parametrize(
+        "family, schemes",
+        [
+            (Family.NORMAL, tuple(ResamplingScheme)),
+            (
+                Family.BINOMIAL,
+                (
+                    ResamplingScheme.STANDARDIZED_RESIDUALS,
+                    ResamplingScheme.RAW_Y,
+                    ResamplingScheme.PARAMETRIC_BOOTSTRAP,
+                ),
+            ),
+        ],
+    )
+    def test_no_returned_array_shares_a_workspace_buffer(self, family, schemes):
+        sim = SimulationConfig(n=60, m=4, family=family, beta_e=0.5, seed=3)
+        dataset = simulate_dataset(sim).dataset
+        returned = []
+        with resampling.replicate_workspace():
+            fit = fit_null(family, dataset.y, dataset.x_e)
+            for scheme in schemes:
+                returned.append(replicate_matrix(scheme, fit, dataset, 1100, 2))
+                returned.append(replicate_statistics(scheme, fit, dataset, 1100, 2).max_stats)
+            refit = fit_null(family, dataset.y, dataset.x_e)
+            held = _workspace_arrays()
+            assert len(held) >= 3
+        for result in (fit, refit):
+            returned += [result.coef, result.mu_e, result.residuals, result.variance_diag]
+            returned.append(result.hat_basis)
+        for array in returned:
+            assert not any(np.shares_memory(array, buffer) for buffer in held)
+
+    def test_threads_keep_their_own_workspace(self):
+        configs = [_small_config(schemes=tuple(ResamplingScheme), k=4, b=1100)]
+        configs.append(replace(configs[0], master_seed=7))
+        serial = [
+            {s: c.alpha_hat.tobytes() for s, c in run_study(config).per_scheme.items()}
+            for config in configs
+        ]
+        start, threaded = threading.Barrier(len(configs)), [None] * len(configs)
+
+        def run(i):
+            start.wait()
+            per_scheme = run_study(configs[i]).per_scheme
+            threaded[i] = {s: c.alpha_hat.tobytes() for s, c in per_scheme.items()}
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert threaded == serial
 
 
 class TestRealFields:
