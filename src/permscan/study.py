@@ -15,6 +15,7 @@ are reproducible for any worker count and insensitive to completion order.
 import ctypes
 import hashlib
 import json
+import threading
 import time
 import warnings
 from contextlib import ExitStack, contextmanager
@@ -61,6 +62,8 @@ class StudyConfig:
     ``sim`` is ignored. ``workers`` bounds the size of the process pool over
     datasets (the pool never exceeds ``k``); every process runs its datasets
     on one BLAS thread, so the worker count never changes numeric results.
+    The one thread is set by writing OpenBLAS's process-wide thread count,
+    which starts no thread pool (see ``run_study``).
     """
 
     sim: SimulationConfig
@@ -151,17 +154,16 @@ def wald_ci(alpha_tilde, k):
 
 @cache
 def _openblas():
-    """numpy's bundled OpenBLAS, or None when numpy uses another BLAS."""
+    """numpy's bundled OpenBLAS, or None when numpy uses another BLAS. Its
+    ``blas_cpu_number`` is bound to OpenBLAS's thread count, the variable
+    that ``scipy_openblas_get_num_threads64_`` returns."""
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas64_*.so")):
         try:
             lib = ctypes.CDLL(str(path))
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
+            lib.blas_cpu_number = ctypes.c_int.in_dll(lib, "blas_cpu_number")
+        except (OSError, ValueError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
         return lib
     return None
 
@@ -170,19 +172,24 @@ def _pin_blas():
     """Put numpy's OpenBLAS on one thread unless it already is (pool worker
     initializer); return the count it replaced, or None if it set nothing.
 
-    The count is set only when it is not 1: in a forked child, setting it
-    restarts the thread pool that the fork shut down, and the pool's idle
-    thread spins. A forked worker inherits the caller's pin and is left
-    alone; a spawn or forkserver worker starts at the default and is pinned.
+    The count is written to OpenBLAS's thread count variable, which starts
+    and stops no thread: a spawn or forkserver worker starts at the default
+    count and is pinned, and its pool's threads go idle; a forked worker
+    inherits the caller's pin and is left alone.
     """
     lib = _openblas()
     if lib is None:
         return None
-    previous = lib.scipy_openblas_get_num_threads64_()
+    previous = lib.blas_cpu_number.value
     if previous == 1:
         return None
-    lib.scipy_openblas_set_num_threads64_(1)
+    lib.blas_cpu_number.value = 1
     return previous
+
+
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_previous = None
 
 
 @contextmanager
@@ -192,15 +199,25 @@ def _one_blas_thread():
     A matmul's last bits depend on the BLAS thread count, so pinning every
     process of a study to one thread makes its results the same for any
     worker count by construction, and keeps pool workers from contending
-    for cores with BLAS threads. Only a count that was changed is restored.
-    Without numpy's bundled OpenBLAS this does nothing.
+    for cores with BLAS threads. The count is process-wide, so the pin has
+    one owner: the first block to enter pins and records the caller's
+    count, and the last to leave writes back a count that was changed.
+    The write starts no thread pool; the caller's next threaded BLAS call
+    starts the one that a fork shut down. Without numpy's bundled OpenBLAS
+    this does nothing.
     """
-    previous = _pin_blas()
+    global _pin_depth, _pin_previous
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_previous = _pin_blas()
+        _pin_depth += 1
     try:
         yield
     finally:
-        if previous is not None:
-            _openblas().scipy_openblas_set_num_threads64_(previous)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0 and _pin_previous is not None:
+                _openblas().blas_cpu_number.value = _pin_previous
 
 
 def _dataset_alpha_hats(config, k):
@@ -245,9 +262,13 @@ def run_study(config):
     Datasets are independent units of work; with ``workers > 1`` they are
     dispatched to a process pool of ``min(workers, k)`` processes, the
     package's only parallel layer. The calling process and every pool worker
-    run on one BLAS thread for the whole loop; the caller's BLAS thread
-    count is restored on return, also when a dataset raises. Aggregation is
-    keyed by dataset index, so the result is identical for any worker count.
+    run on one BLAS thread for the whole loop. The count is OpenBLAS's
+    process-wide variable, so while any study runs, BLAS calls in the
+    caller's other threads run on one thread too; the last study to return
+    or raise writes the caller's count back. A write starts no BLAS thread
+    pool: the caller's next threaded BLAS call starts the one that forking
+    the workers shut down. Aggregation is keyed by dataset index, so the
+    result is identical for any worker count.
     Each distinct warning the datasets raise is emitted once, whatever the
     worker count.
     The loop runs in one ``replicate_workspace``, which holds the replicate

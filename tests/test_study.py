@@ -2,10 +2,12 @@
 
 import multiprocessing
 import os
+import sys
 import threading
+import time
 import warnings
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -329,16 +331,23 @@ def _blas_threads():
 
 
 class _CountingBlas:
-    """Stand-in for the OpenBLAS library that counts calls to the setter."""
+    """Stand-in for the OpenBLAS library whose thread count variable,
+    ``blas_cpu_number``, counts the writes to it."""
 
     def __init__(self, threads):
         self.threads = threads
         self.sets = 0
 
-    def scipy_openblas_get_num_threads64_(self):
+    @property
+    def blas_cpu_number(self):
+        return self
+
+    @property
+    def value(self):
         return self.threads
 
-    def scipy_openblas_set_num_threads64_(self, threads):
+    @value.setter
+    def value(self, threads):
         self.threads = threads
         self.sets += 1
 
@@ -395,6 +404,33 @@ class TestBlasThreads:
         assert fake.threads == threads
         assert fake.sets == (0 if threads == 1 else 2)
 
+    def test_overlapping_pins_hold_one_thread_until_the_last_leaves(self, monkeypatch):
+        # More threads than cores, switching every microsecond: a block that
+        # sees the caller's count, or a count not restored after the last
+        # block, is a lost pin.
+        fake = _CountingBlas(2)
+        monkeypatch.setattr(study, "_openblas", lambda: fake)
+        seen = []
+
+        def pin_repeatedly():
+            for _ in range(200):
+                with study._one_blas_thread():
+                    seen.append(fake.threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=pin_repeatedly) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert seen == [1] * 800
+        assert fake.threads == 2
+
     def test_caller_thread_count_is_restored(self, blas):
         run_study(_small_config(workers=2))
         assert blas.scipy_openblas_get_num_threads64_() == 2
@@ -407,6 +443,71 @@ class TestBlasThreads:
         with pytest.raises(FitError, match="dataset 0: made to fail"):
             run_study(_small_config(k=2))
         assert blas.scipy_openblas_get_num_threads64_() == 2
+
+    def test_a_pooled_study_leaves_no_blas_thread_busy(self, blas):
+        # A fork shuts the caller's BLAS thread pool down. OpenBLAS's setter
+        # starts the pool again, and its idle thread spins on a core; a
+        # written count leaves the pool to the caller's next threaded call.
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers are not forked on this platform")
+        a = np.random.default_rng(0).random((1000, 1000))
+        before = a @ a
+        run_study(_small_config(workers=2))
+        start = time.process_time()
+        time.sleep(0.3)
+        assert time.process_time() - start < 0.03
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+        assert (a @ a).tobytes() == before.tobytes()
+
+    def test_two_threads_keep_the_pin(self, blas, monkeypatch):
+        # At n=400, m=100 and B=500 a scheme's statistics are a 500x400 by
+        # 400x100 product, whose last bits differ between one and two BLAS
+        # threads (an n=30 product is never split). The first study pins
+        # the count and returns while the second still has datasets to run.
+        sim = SimulationConfig(n=400, m=100, family=Family.NORMAL, beta_e=0.4)
+        first = StudyConfig(
+            sim=sim, schemes=(ResamplingScheme.FREEDMAN_LANE,), k=2, b=500, master_seed=1
+        )
+        second = replace(first, k=4, master_seed=2)
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        counts, maxima = [], {}
+
+        def recorded(scheme, fit, dataset, b, seed, *, stream_path):
+            if seed == first.master_seed:
+                first_in.set()
+                if stream_path == (first.k - 1,):
+                    assert second_in.wait(120)
+            elif stream_path == (0,):
+                second_in.set()
+            else:
+                assert first_out.wait(120)
+            counts.append(blas.scipy_openblas_get_num_threads64_())
+            dist = replicate_statistics(scheme, fit, dataset, b, seed, stream_path=stream_path)
+            maxima[seed, stream_path] = dist.max_stats.tobytes()
+            return dist
+
+        def run_first():
+            try:
+                return run_study(first)
+            finally:
+                first_out.set()
+
+        def run_second():
+            assert first_in.wait(120)
+            return run_study(second)
+
+        replicate_statistics = study.replicate_statistics
+        monkeypatch.setattr(study, "replicate_statistics", recorded)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [pool.submit(run_first), pool.submit(run_second)]
+            threaded = [future.result(timeout=300) for future in futures]
+        assert counts == [1] * (first.k + second.k)
+        threaded_maxima = dict(maxima)
+        serial = [run_study(config) for config in (first, second)]
+        assert maxima == threaded_maxima
+        for one, other in zip(threaded, serial):
+            for scheme, calibration in other.per_scheme.items():
+                assert one.per_scheme[scheme].alpha_hat.tobytes() == calibration.alpha_hat.tobytes()
 
     def test_runs_unchanged_without_openblas(self, monkeypatch):
         expected = run_study(_small_config(workers=2))

@@ -33,14 +33,17 @@ def test_warm_faults_do_not_grow_with_k(name):
 
 
 def test_one_json_line_per_study():
-    done = subprocess.run([sys.executable, str(TOOL), "1"], capture_output=True, text=True)
+    done = subprocess.run([sys.executable, str(TOOL), "2"], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    records = [json.loads(line) for line in done.stdout.splitlines()]
+    *records, pooled = [json.loads(line) for line in done.stdout.splitlines()]
     assert [record["study"] for record in records] == list(study_faults.STUDIES)
     for record in records:
-        assert record["k"] == 1
+        assert record["k"] == 2
         assert record["minor_faults"] >= 0
         assert record["system_s"] >= 0 and record["wall_s"] > 0
+    assert pooled["study"] == "study-binomial"
+    assert pooled["k"] == 2 and pooled["workers"] == 2
+    assert pooled["cpu_s"] > 0 and pooled["idle_cpu_s"] >= 0
 
 
 @pytest.mark.parametrize("argv", [[], ["0"], ["ten"], ["1", "2"]])

@@ -16,8 +16,19 @@ at K datasets, and prints one JSON line:
 
 A study's replicate buffers are held until ``run_study`` returns, so the
 faults of a warm round should not grow with K. The counts come from
-``getrusage`` of this process alone. The permscan on PYTHONPATH is
-measured, else the one in this checkout's ``src``.
+``getrusage`` of this process alone. A last line runs the binomial
+configuration at K datasets on a pool of two workers (one when K is 1):
+
+    study        study-binomial
+    k            datasets in the round
+    workers      the pool's worker count
+    cpu_s        user and system CPU seconds of the round, this process
+                 and its pool workers together
+    idle_cpu_s   CPU seconds of this process during a 0.3 s sleep after
+                 the round; a BLAS thread left busy by the study shows here
+
+The permscan on PYTHONPATH is measured, else the one in this checkout's
+``src``.
 """
 
 import json
@@ -50,11 +61,13 @@ STUDIES = {
 }
 
 
-def study_config(name, k, n=400, m=100, b=500, master_seed=1):
-    """The benchmark's ``name`` study at ``k`` datasets, on one worker."""
+def study_config(name, k, n=400, m=100, b=500, master_seed=1, workers=1):
+    """The benchmark's ``name`` study at ``k`` datasets on ``workers`` processes."""
     family, beta_e, schemes = STUDIES[name]
     sim = SimulationConfig(n=n, m=m, family=family, beta_e=beta_e, rho=0.7)
-    return StudyConfig(sim=sim, schemes=schemes, k=k, b=b, master_seed=master_seed)
+    return StudyConfig(
+        sim=sim, schemes=schemes, k=k, b=b, workers=workers, master_seed=master_seed
+    )
 
 
 def warm_round(config):
@@ -65,6 +78,24 @@ def warm_round(config):
     wall = time.perf_counter() - start
     after = resource.getrusage(resource.RUSAGE_SELF)
     return after.ru_minflt - before.ru_minflt, after.ru_stime - before.ru_stime, wall
+
+
+def cpu_seconds(who):
+    """User plus system CPU seconds of ``getrusage(who)``."""
+    usage = resource.getrusage(who)
+    return usage.ru_utime + usage.ru_stime
+
+
+def pooled_round(config, idle_s=0.3):
+    """CPU seconds of ``run_study(config)`` (this process and its pool
+    workers), and of this process during an ``idle_s`` sleep after it."""
+    who = (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    before = [cpu_seconds(w) for w in who]
+    run_study(config)
+    after = [cpu_seconds(w) for w in who]
+    time.sleep(idle_s)
+    idle = cpu_seconds(resource.RUSAGE_SELF) - after[0]
+    return sum(after) - sum(before), idle
 
 
 def main(argv):
@@ -83,6 +114,16 @@ def main(argv):
             "wall_s": round(wall_s, 3),
         }
         print(json.dumps(record), flush=True)
+    workers = min(2, k)
+    cpu_s, idle_cpu_s = pooled_round(study_config("study-binomial", k, workers=workers))
+    record = {
+        "study": "study-binomial",
+        "k": k,
+        "workers": workers,
+        "cpu_s": round(cpu_s, 3),
+        "idle_cpu_s": round(idle_cpu_s, 3),
+    }
+    print(json.dumps(record), flush=True)
     return 0
 
 
