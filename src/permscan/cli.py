@@ -38,12 +38,7 @@ from .errors import (
     check_integer,
 )
 from .glm import Family, fit_null
-from .io import (
-    ingest,
-    write_dataset,
-    write_table_csv,
-    write_table_json,
-)
+from .io import ingest, write_dataset, write_table_csv, write_table_json
 from .resampling import (
     ResamplingScheme,
     bonferroni_sidak,

@@ -16,11 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    QuasiSeparationError,
-    SingularDesignError,
-)
+from .errors import ConvergenceError, QuasiSeparationError, SingularDesignError
 
 __all__ = ["Family", "Dataset", "NullModelFit", "fit_null"]
 
@@ -206,17 +202,27 @@ def _expit_in_place(a):
 
 
 def _qr_solve(a, rhs):
-    """Least-squares solve via economic QR with a rank check.
-
-    Returns (coef, basis) where ``basis`` is the orthonormal factor; raises
-    SingularDesignError when the triangular factor is numerically singular.
-    """
+    """Least-squares solve via economic QR: (coef, basis), where ``basis``
+    is the orthonormal factor, rank-checked by ``_solve_full_rank``."""
     q, r = np.linalg.qr(a)
+    return _solve_full_rank(r, q.T @ rhs, a.shape), q
+
+
+def _solve_full_rank(r, rhs, shape):
+    """Solve r c = rhs for the triangular factor ``r`` of a design of
+    ``shape``; SingularDesignError when ``r`` is numerically singular."""
     diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag.min() <= diag.max() * np.finfo(float).eps * max(a.shape):
+    if diag.size == 0 or diag.min() <= diag.max() * np.finfo(float).eps * max(shape):
         raise SingularDesignError("design matrix is numerically rank deficient")
-    coef = np.linalg.solve(r, q.T @ rhs)
-    return coef, q
+    return np.linalg.solve(r, rhs)
+
+
+def lstsq_residuals(x, y):
+    """Residuals of the least-squares fit of ``y`` on ``x`` from the R of
+    [x y] alone, R[:p, :p] c = R[:p, p], rank-checked as by ``_qr_solve``."""
+    p = x.shape[1]
+    r = np.linalg.qr(np.column_stack([x, y]), mode="r")
+    return y - x @ _solve_full_rank(r[:p, :p], r[:p, p], x.shape)
 
 
 class BatchIrls(NamedTuple):

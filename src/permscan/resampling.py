@@ -51,22 +51,21 @@ and dropped after it.
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
 (whose docstring lays out every key), so replicate r is the same row
-whatever the number of replicates. Permutation indices depend only on the
-stream and the length, so inside ``replicate_workspace`` each index block
-of a dataset is drawn once and shared by every permuting scheme of that
-length. A row whose binomial refit fails (separation, non-convergence, a
-masked system) is redrawn, at most ``MAX_REPLICATE_RETRIES`` times, each
-attempt from its own stream. Test hooks replace the draws with fixed index
-rows: the identity (``force_identity``) or every permutation
-(``exhaustive``). A fixed row is never redrawn, so its failed refit raises
-at once.
+whatever the number of replicates. Every permuting scheme reads the same
+(rows, n) index block of a stream; modified-model keeps each row's indices
+below n - d, in order, which is a uniform permutation of n - d. A row whose
+binomial refit fails (separation, non-convergence, a masked system) is
+redrawn, at most ``MAX_REPLICATE_RETRIES`` times, each attempt from its own
+stream. Test hooks replace the draws with fixed index rows: the identity
+(``force_identity``) or every permutation (``exhaustive``). A fixed row is
+never redrawn, so its failed refit raises at once.
 
-A study (``run_study``, in ``replicate_workspace``) holds for its lifetime
-buffers of about 8 x rows x n bytes each: the index block of each (block,
-permuted length), the drawn rows, the normal refit's residuals, the IRLS
-mu and the bootstrap's (d, rows, n) whitened block, whose slice 0 is the
-IRLS weights. It releases them when it returns or raises. Redrawn rows and
-returned arrays are fresh; ``scan`` allocates per block.
+A study (``run_study``, in ``replicate_workspace``) draws each index block
+of a dataset once and holds for its lifetime buffers of about 8 x rows x n
+bytes each: the index block, the drawn rows, the normal refit's residuals,
+the IRLS mu and the bootstrap's (d, rows, n) whitened block, whose slice 0
+is the IRLS weights. It releases them when it returns or raises. Redrawn
+rows and returned arrays are fresh; ``scan`` allocates per block.
 """
 
 import enum
@@ -88,7 +87,7 @@ from .errors import (
     ReplicateFailureError,
     check_integer,
 )
-from .glm import Family, binomial_irls, cholesky_inverse, fit_null, outer_rows
+from .glm import Family, binomial_irls, cholesky_inverse, fit_null, lstsq_residuals, outer_rows
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
 from .score import (
     DEGENERATE_TOL,
@@ -259,6 +258,8 @@ def exchangeable_transform(scheme, fit, dataset):
         scale = np.sqrt(fit.variance_diag)[:, None]
         coords = lambda x: scale * x  # noqa: E731
         y_t = fit.residuals / scale[:, 0]
+    elif fit.family is Family.NORMAL:  # FULL_MODEL_RESIDUALS
+        y_t = lstsq_residuals(np.hstack([dataset.x_e, x_g]), dataset.y)
     else:  # FULL_MODEL_RESIDUALS
         y_t = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g])).residuals
     return Transform(y_t, partial(_marker_block, x_g, coords, denom))
@@ -295,17 +296,16 @@ class _Kernel(NamedTuple):
 
 
 # The running study's flat float buffers by name, and the (stream key, intp
-# index block) slot of each (block, length); None outside a workspace.
+# index block) slot of each block, keyed (block,); None outside a workspace.
 _workspace = ContextVar("_workspace", default=None)
 
 
 @contextmanager
 def replicate_workspace():
     """Within the block, replicate blocks draw and refit in buffers held
-    until exit, and a permutation block drawn for one scheme is reused by
-    every later scheme that permutes a vector of the same length from the
-    same stream. ``Generator.permuted`` moves positions without reading
-    values, so the replicates are the ones each scheme would draw alone."""
+    until exit, and the length-n index block drawn for one permuting scheme
+    is reused by every later one of the same stream, so the replicates are
+    the ones each scheme would draw alone."""
     token = _workspace.set({})
     try:
         yield
@@ -326,25 +326,28 @@ def _buffer(name, shape):
     return flat[:size].reshape(shape)
 
 
-def _draw(kernel, rows, seed, *path, share=False):
+def _draw(kernel, rows, n, seed, *path, share=False):
     """``rows`` replicate rows from the stream ``(seed, *path)``. A permuting
-    kernel gathers them from a block of intp permutation indices. With
+    kernel gathers them from a (rows, n) block of intp permutation indices;
+    a shorter base keeps each row's indices below its length, in order. With
     ``share`` in a workspace, the rows take its row buffer and the indices
-    their (block, length) slot, redrawn only when it holds another stream;
-    else both are fresh, so that rows drawn one by one never alias."""
+    their block's slot, redrawn only when it holds another stream; else both
+    are fresh, so that rows drawn one by one never alias."""
     length = len(kernel.base)
     space = _workspace.get() if share else None
     out = None if space is None else _buffer("rows", (rows, length))
     if kernel.draw is not None:
         return kernel.draw(substream(seed, *path), rows, out=out)
     key, slots = (seed, *path, rows), {} if space is None else space
-    held, index = slots.get((path[-1], length), (None, None))
+    held, index = slots.get((path[-1],), (None, None))
     if held != key:
-        if index is None or index.shape != (rows, length):
-            index = np.empty((rows, length), dtype=np.intp)
-        index[:] = np.arange(length)
+        if index is None or index.shape != (rows, n):
+            index = np.empty((rows, n), dtype=np.intp)
+        index[:] = np.arange(n)
         substream(seed, *path).permuted(index, axis=1, out=index)
-        slots[path[-1], length] = (key, index)
+        slots[(path[-1],)] = (key, index)
+    if length < n:
+        index = index[index < length].reshape(rows, length)
     return np.take(kernel.base, index, out=out, mode="wrap")  # "raise" buffers a copy
 
 
@@ -500,11 +503,11 @@ def _statistics(
         if force_identity:
             fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
-    path, m = (*path, RESAMPLING_LANE), dataset.m
+    path, m, n = (*path, RESAMPLING_LANE), dataset.m, dataset.n
 
     def block_rows(lo, hi):
         if fixed is None:
-            return _draw(kernel, hi - lo, seed, *path, lo // _CHUNK, share=True)
+            return _draw(kernel, hi - lo, n, seed, *path, lo // _CHUNK, share=True)
         return kernel.base[fixed[lo:hi]]
 
     for lo in range(0, b, _CHUNK):
@@ -515,7 +518,7 @@ def _statistics(
         for attempt in range(1, MAX_REPLICATE_RETRIES + 1):
             if fixed is not None or not failed.size:
                 break
-            retry = [_draw(kernel, 1, seed, *path, lo + i, attempt) for i in failed]
+            retry = [_draw(kernel, 1, n, seed, *path, lo + i, attempt) for i in failed]
             out[failed], ok = _evaluate(kernel, np.vstack(retry), m, full)
             failed = failed[~ok]
         if failed.size:

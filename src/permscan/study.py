@@ -97,8 +97,8 @@ class SchemeCalibration:
     """Aggregated calibration of one scheme over the K datasets.
 
     ``seconds`` is the scheme's wall time summed over the datasets. The
-    permuting schemes of a dataset share one index block per permuted
-    length and block, and the first of them in ``config.schemes`` pays for
+    permuting schemes of a dataset share one length-n index block per
+    replicate block, and the first of them in ``config.schemes`` pays for
     drawing it.
     """
 
@@ -227,12 +227,10 @@ def _dataset_alpha_hats(config, k):
     sim = replace(config.sim, seed=config.master_seed)
     try:
         with warnings.catch_warnings(record=True) as caught:
-            simulated = simulate_dataset(sim, stream_path=(k,))
-            dataset = simulated.dataset
+            dataset = simulate_dataset(sim, stream_path=(k,)).dataset
             fit = fit_null(sim.family, dataset.y, dataset.x_e)
             observed = score_statistics(fit, dataset.x_g)
-            alpha_hats = {}
-            seconds = {}
+            alpha_hats, seconds = {}, {}
             for scheme in config.schemes:
                 start = time.perf_counter()
                 dist = replicate_statistics(
@@ -271,10 +269,9 @@ def run_study(config):
     result is identical for any worker count.
     Each distinct warning the datasets raise is emitted once, whatever the
     worker count.
-    The loop runs in one ``replicate_workspace``, which holds the replicate
-    buffers (index blocks, drawn rows, refit residuals, IRLS and whitening
-    blocks; about 8 x rows x n bytes each) until the study returns or
-    raises. Forked pool workers inherit it; other workers allocate per block.
+    The loop runs in one ``replicate_workspace``, which holds the index
+    block of each dataset and the replicate buffers until the study returns
+    or raises. Forked pool workers inherit it; others allocate per block.
     """
     alpha_hat = {scheme: np.empty(config.k) for scheme in config.schemes}
     seconds = {scheme: 0.0 for scheme in config.schemes}
@@ -333,8 +330,7 @@ def alpha_loc_study(sim, scheme, b, alpha=0.05, *, mc_draws=0, mc_seed=1):
     if mc_draws:
         check_mc_draws(mc_draws)
         check_integer("mc_seed", mc_seed, 0)
-    simulated = simulate_dataset(sim)
-    dataset = simulated.dataset
+    dataset = simulate_dataset(sim).dataset
     fit = fit_null(sim.family, dataset.y, dataset.x_e)
     observed = score_statistics(fit, dataset.x_g)
     dist = replicate_statistics(scheme, fit, dataset, b, sim.seed)

@@ -1,9 +1,12 @@
 """Tests for tools/parity.py, which digests every output family of a tree."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "parity.py"
@@ -43,3 +46,25 @@ def test_two_tree_mode_refuses_a_tree_without_permscan(tmp_path):
     done = _parity(ROOT / "src", tmp_path)
     assert done.returncode == 2
     assert not done.stdout and "parity:" in done.stderr
+
+
+def test_a_moved_family_names_only_the_schemes_whose_outputs_moved():
+    spec = importlib.util.spec_from_file_location("parity", TOOL)
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    old = [
+        ("raw-y", np.array([0.1, 0.2])),
+        ("modified-model", np.array([0.3])),
+        ("raw-y", np.array([0.4])),
+        ("modified-model", b'{"c": 4.1}'),
+        (None, b"simulated"),
+    ]
+    new = [
+        ("raw-y", np.array([0.1, 0.2])),
+        ("modified-model", np.array([0.35])),
+        ("raw-y", np.array([0.4])),
+        ("modified-model", b'{"c": 4.2}'),
+        (None, b"simulated again"),
+    ]
+    assert parity.moved_schemes(old, new) == ["modified-model"]
+    assert parity.moved_schemes(old, old) == []

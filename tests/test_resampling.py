@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from permscan import (
     ResamplingScheme,
     ScoreCorrelation,
     SimulationConfig,
+    SingularDesignError,
     alpha_loc_study,
     bonferroni_sidak,
     cutoff_ci,
@@ -135,6 +137,18 @@ class TestExchangeableTransform:
         dataset, fit = _binomial_instance()
         with pytest.warns(UserWarning, match="standardized-residuals"):
             exchangeable_transform(ResamplingScheme.FREEDMAN_LANE, fit, dataset)
+
+    def test_full_model_residuals_rejects_a_rank_deficient_marker_design(self):
+        dataset, fit = _normal_instance(n=40, m=4)
+        x_g = dataset.x_g.copy()
+        x_g[:, 3] = x_g[:, 1]
+        twin = Dataset(y=dataset.y, x_e=dataset.x_e, x_g=x_g)
+        with pytest.raises(
+            SingularDesignError, match="^design matrix is numerically rank deficient$"
+        ):
+            replicate_statistics(
+                ResamplingScheme.FULL_MODEL_RESIDUALS, fit, twin, 10, seed=1
+            )
 
 
 class TestIdentityFixedPoint:
@@ -648,6 +662,46 @@ def _random_markers(rng, n, m):
     x_g = rng.integers(0, 3, (n, m)).astype(float)
     x_g[:2] = [[0.0], [2.0]]  # no constant marker
     return x_g
+
+
+class TestModifiedModelIndexBlock:
+    """Modified-model reads the dataset's length-n index block: each row's
+    indices below n - d, in order, permute its (n - d)-vector."""
+
+    @pytest.mark.parametrize("b", [7, 1030])
+    def test_rows_are_the_length_n_block_filtered_below_n_minus_d(self, b):
+        n, m, seed, path = 12, 3, 21, (4,)
+        dataset, fit = _normal_instance(n=n, m=m, seed=105)
+        length = n - dataset.d
+        q = fit.q_factor()
+        resid_x_sq = np.sum(_ols_residuals(dataset.x_e, dataset.x_g.astype(float)) ** 2, axis=0)
+        x_map = (q.T @ dataset.x_g) / np.sqrt(fit.phi_hat * resid_x_sq)
+        y_tilde = q.T @ dataset.y
+        rows = []
+        for j, lo in enumerate(range(0, b, 1024)):
+            count = min(b - lo, 1024)
+            index = substream(seed, *path, RESAMPLING_LANE, j).permuted(
+                np.tile(np.arange(n), (count, 1)), axis=1
+            )
+            rows.append(y_tilde[index[index < length].reshape(count, length)])
+        reference = np.vstack(rows) @ x_map
+        stats = replicate_matrix(
+            ResamplingScheme.MODIFIED_MODEL, fit, dataset, b, seed, stream_path=path
+        )
+        assert stats.shape == (b, m)
+        assert_allclose(stats, reference, rtol=1e-10, atol=1e-12)
+
+    def test_every_order_of_a_length_three_base_is_equally_likely(self):
+        # n - d = 3: 6000 rows give each of the 3! orders 1000 expected, with
+        # a standard deviation of about 29; the bound, 150, is over five.
+        dataset, fit = _normal_instance(n=5, m=1, seed=106)
+        assert dataset.n - dataset.d == 3
+        kernel = resampling._kernel(ResamplingScheme.MODIFIED_MODEL, fit, dataset)
+        assert len(np.unique(kernel.base)) == 3
+        rows = resampling._draw(kernel, 6000, dataset.n, 8, RESAMPLING_LANE, 0)
+        orders = Counter(tuple(row) for row in np.argsort(rows, axis=1))
+        assert set(orders) == set(itertools.permutations(range(3)))
+        assert all(abs(count - 1000) <= 150 for count in orders.values())
 
 
 class TestKernelReferences:

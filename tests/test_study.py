@@ -553,15 +553,15 @@ class TestAlphaLocStudy:
 
 
 class TestSharedPermutations:
-    """Within one dataset a study draws each permutation index block once
-    and shares it across the schemes that permute a vector of its length."""
+    """Within one dataset a study draws each permutation index block once,
+    of length n, and shares it across every permuting scheme; modified-model
+    reads the entries of each row below n - d."""
 
-    def test_one_stream_per_dataset_length_and_block(self, monkeypatch):
+    def test_one_stream_per_dataset_and_block(self, monkeypatch):
         sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, beta_e=0.4)
         config = StudyConfig(
             sim=sim, schemes=tuple(ResamplingScheme), k=2, b=1025, master_seed=9
         )
-        d = simulate_dataset(sim).dataset.d
         permuted = Counter()
 
         class Recording:
@@ -580,10 +580,9 @@ class TestSharedPermutations:
         )
         run_study(config)
         assert permuted == {
-            ((k, RESAMPLING_LANE, j), (rows, length)): 1
+            ((k, RESAMPLING_LANE, j), (rows, 30)): 1
             for k in range(2)
             for j, rows in enumerate((1024, 1))
-            for length in (30, 30 - d)
         }
 
     @pytest.mark.parametrize(

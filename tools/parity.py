@@ -9,8 +9,9 @@ prints each family's digest: where two trees' digests agree, they produced
 the same bytes. Given two trees, it runs each in its own process and
 prints ``same`` or ``moved`` per family; a moved family also gets the
 largest relative difference between the numbers of its outputs (JSON
-true/false read as 1/0), or the two counts of numbers when they differ.
-The families, one line each:
+true/false read as 1/0), or the two counts of numbers when they differ,
+and, for ``study`` and ``scan``, the schemes whose outputs moved (``study
+moved 0.13 in modified-model``). The families, one line each:
 
     study      run_study alpha_hat of the benchmark's study-normal and
                study-binomial configurations (n=400, m=100, rho=0.7, K=10,
@@ -76,7 +77,7 @@ def _study(ps):
             config = ps.StudyConfig(sim=sim, schemes=chosen, k=10, b=500, master_seed=seed)
             result = ps.run_study(config)
             for scheme in chosen:
-                yield result.per_scheme[scheme].alpha_hat
+                yield scheme.value, result.per_scheme[scheme].alpha_hat
 
 
 def _alpha_loc(ps):
@@ -90,11 +91,12 @@ def _alpha_loc(ps):
         )
         result = ps.alpha_loc_study(sim, scheme, b=2000)
         cutoff = dataclasses.asdict(result.cutoff)
-        yield json.dumps([cutoff, result.observed_max], sort_keys=True).encode()
+        yield None, json.dumps([cutoff, result.observed_max], sort_keys=True).encode()
 
 
 def _cli(ps, directory):
-    """The simulate CSVs and the scan reports, as two lists of bytes."""
+    """The simulate CSVs and the scan reports, as two lists of (label,
+    bytes) pairs; a report's label is its scheme."""
     from permscan.cli import main
 
     data = directory / "data"
@@ -116,12 +118,13 @@ def _cli(ps, directory):
             code = main(argv)
         if code != 0:
             raise RuntimeError(f"permscan {' '.join(argv)} exited {code}")
-    return [(data / name).read_bytes() for name in FILES], [p.read_bytes() for p in reports]
+    simulated = [(None, (data / name).read_bytes()) for name in FILES]
+    return simulated, [(s.value, p.read_bytes()) for s, p in zip(ps.ResamplingScheme, reports)]
 
 
 def _mc(ps):
     correlation = 0.5 * np.eye(50) + 0.5
-    yield repr(tuple(ps.mc_mvn_alpha_loc(correlation, 0.05, 20_000, SEED))).encode()
+    yield None, repr(tuple(ps.mc_mvn_alpha_loc(correlation, 0.05, 20_000, SEED))).encode()
 
 
 def _bytes(chunk):
@@ -130,7 +133,7 @@ def _bytes(chunk):
 
 def _digest(chunks):
     digest = hashlib.sha256()
-    for chunk in chunks:
+    for _, chunk in chunks:
         digest.update(hashlib.sha256(_bytes(chunk)).digest())
     return digest.hexdigest()
 
@@ -138,7 +141,7 @@ def _digest(chunks):
 def _numbers(chunks):
     """Every number of a family's outputs, in order, as one float array."""
     values = []
-    for chunk in chunks:
+    for _, chunk in chunks:
         if isinstance(chunk, np.ndarray):
             values.extend(chunk.ravel().tolist())
         else:
@@ -147,7 +150,9 @@ def _numbers(chunks):
 
 
 def _families(ps):
-    """(family, chunks) pairs; a chunk is bytes or a float array."""
+    """(family, chunks) pairs; a chunk is a (label, output) pair, whose
+    output is bytes or a float array and whose label names the output's
+    scheme, or is None."""
     with tempfile.TemporaryDirectory() as tmp:
         simulated, scans = _cli(ps, Path(tmp))
     return [
@@ -189,6 +194,13 @@ def _moved(old, new):
     return f"{float(rel.max(initial=0.0)):.2g}"
 
 
+def moved_schemes(old, new):
+    """The labels, in order and once each, of the chunks whose outputs
+    differ between two runs of a family."""
+    moved = (label for (label, a), (_, b) in zip(old, new) if label and _bytes(a) != _bytes(b))
+    return list(dict.fromkeys(moved))
+
+
 def compare(old_src, new_src):
     """Print ``same`` or ``moved`` per family of two trees."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,7 +219,10 @@ def compare(old_src, new_src):
         if _digest(before) == _digest(after):
             print(f"{family} same", flush=True)
         else:
-            print(f"{family} moved {_moved(before, after)}", flush=True)
+            line, schemes = f"{family} moved {_moved(before, after)}", moved_schemes(before, after)
+            if schemes:
+                line += " in " + ", ".join(schemes)
+            print(line, flush=True)
     return 0
 
 
