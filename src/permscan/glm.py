@@ -189,13 +189,12 @@ class NullModelFit:
 def expit(x):
     """Logistic function 1 / (1 + exp(-x)); exp(-x) overflows to inf below
     about -709, which gives 0."""
-    return _expit_in_place(np.array(x, dtype=float))
+    return _expit_of_negated(np.negative(x, dtype=float))
 
 
-def _expit_in_place(a):
-    """Overwrite the float array ``a`` with expit(a) and return it."""
+def _expit_of_negated(a):
+    """Overwrite the float array ``a`` of -x with expit(x) and return it."""
     with np.errstate(over="ignore"):
-        np.negative(a, out=a)
         np.exp(a, out=a)
         a += 1.0
         return np.divide(1.0, a, out=a)
@@ -299,37 +298,38 @@ def _separated(mu, coef, x_scale):
     return separated
 
 
-def binomial_irls(x_e, ys, buffers=None):
+def binomial_irls(x_e, ys, buffers=None, start=None):
     """Logistic fit of every 0/1 row of ``ys`` on ``x_e`` by batch IRLS.
 
-    The start is mu = (y + 1/2) / 2, where every weight is 3/16 and the
-    working response is (2y - 1)(log 3 + 4/3), so pass 1 is one
-    least-squares solve shared by the whole batch. Every later pass is the
-    Newton step coef += (x' W x)^-1 x' (y - mu), with the stacked x' W x
-    taken as one product of the weights and ``outer_rows(x_e)``. Each
-    system, pass 1's x' x included as a batch of one, is solved as
-    L^-T L^-1 through ``cholesky_inverse``, and a singular one gives a zero
-    step. mu and the weights live in two (rows, n) buffers updated in place,
-    the pair ``buffers`` or two fresh ones, and ``mu`` of the result is the
-    first. A row has converged once its Newton step is at most
-    IRLS_STEP_TOL times 1 + max|coef| in the max norm, so none converges on
-    pass 1. Separated coefficients diverge and never converge; separation
-    is diagnosed on the probabilities of every pass. The loop stops when
-    every row has converged or separated, or after IRLS_MAX_ITER passes.
+    Pass 1 is the Newton step from ``start``, one coefficient vector that
+    the whole batch shares (zeros, where mu is 1/2, by default). Its mu0 is
+    one length-n vector, so the step start + (x' W0 x)^-1 (ys x - mu0 x)
+    solves one system for the whole batch. Every later pass is the Newton
+    step coef += (x' W x)^-1 (ys x - mu x) of each row, with ys x formed
+    once on pass 1 and the stacked x' W x taken as one product of the
+    weights and ``outer_rows(x_e)``. Each system, pass 1's as a batch of
+    one, is solved as L^-T L^-1 through ``cholesky_inverse``, and a singular
+    one gives a zero step. mu, as expit of coef (-x'), and the weights live
+    in two (rows, n) buffers updated in place, the pair ``buffers`` or two
+    fresh ones, and ``mu`` of the result is the first. A row has converged
+    once its Newton step is at most IRLS_STEP_TOL times 1 + max|coef| in the
+    max norm, so none converges on pass 1. Separated coefficients diverge
+    and never converge; separation is diagnosed on the probabilities of
+    every pass. The loop stops when every row has converged or separated,
+    or after IRLS_MAX_ITER passes.
     """
     batch, d = ys.shape[0], x_e.shape[1]
-    converged = np.zeros(batch, dtype=bool)
-    working = math.log(3.0) + 4.0 / 3.0
-    rhs = (2.0 * working) * (ys @ x_e) - working * x_e.sum(axis=0)
-    (inv,), (ok,) = cholesky_inverse((x_e.T @ x_e)[None])
-    coef = (rhs @ inv.T) @ inv if ok else np.zeros((batch, d))
-    singular = np.full(batch, not ok)
-    gram = outer_rows(x_e)
+    start = np.zeros(d) if start is None else start
+    gram, neg_xt, y_x = outer_rows(x_e), -x_e.T, ys @ x_e
+    mu0 = expit(x_e @ start)
+    (inv,), (ok,) = cholesky_inverse(((mu0 * (1.0 - mu0)) @ gram).reshape(1, d, d))
+    coef = start + ok * (((y_x - mu0 @ x_e) @ inv.T) @ inv)
+    singular, converged = np.full(batch, not ok), np.zeros(batch, dtype=bool)
     x_scale = np.abs(x_e).max(axis=0)
     mu, work = (np.empty(ys.shape), np.empty(ys.shape)) if buffers is None else buffers
     iteration = 1
     while True:
-        _expit_in_place(np.matmul(coef, x_e.T, out=mu))
+        _expit_of_negated(np.matmul(coef, neg_xt, out=mu))
         np.clip(mu, 1e-12, 1.0 - 1e-12, out=mu)
         separated = _separated(mu, coef, x_scale)
         if iteration >= IRLS_MAX_ITER or (converged | separated).all():
@@ -338,7 +338,7 @@ def binomial_irls(x_e, ys, buffers=None):
         np.subtract(1.0, mu, out=work)
         work *= mu
         inv, ok = cholesky_inverse((work @ gram).reshape(batch, d, d))
-        half = np.einsum("bij,bj->bi", inv, np.subtract(ys, mu, out=work) @ x_e)
+        half = np.einsum("bij,bj->bi", inv, y_x - mu @ x_e)
         step = np.einsum("bji,bj->bi", inv, half)
         step[~ok] = 0.0
         singular |= ~ok

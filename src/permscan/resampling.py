@@ -40,7 +40,10 @@ and dropped after it.
   projection (I - H) row; a bootstrap row is also scaled to the observed
   residual sum of squares phi_hat (n - d), so both keep the observed
   denominators. A binomial refit is one batch IRLS of the whole block, in
-  whose buffer y - mu_hat is formed. The binomial bootstrap also refits the
+  whose buffer y - mu_hat is formed. It starts at the fit the rows perturb,
+  the null fit for the bootstrap and the intercept-only (logit ybar, 0, ...)
+  for raw-y, whose rows keep y's mean, so that its first Newton step is one
+  d x d solve for the whole block. The binomial bootstrap also refits the
   weights: its map is the float marker block alone, and each row's
   denominators of a block are formed from the covariates whitened against
   x_e' W x_e once per refit (one product and a sum of squares, no solve).
@@ -351,11 +354,13 @@ def _draw(kernel, rows, n, seed, *path, share=False):
     return np.take(kernel.base, index, out=out, mode="wrap")  # "raise" buffers a copy
 
 
-def _binomial_refit(x_e, bootstrap, rows):
-    """Batch IRLS of the binomial null mean on every row, its weights in
-    slice 0 of the later whitened block: the residuals, formed in the IRLS's
-    mu, the mask of rows that fit and, for the bootstrap, the weights."""
-    irls = binomial_irls(x_e, rows, (_buffer("mu", rows.shape), _buffer("whitened", rows.shape)))
+def _binomial_refit(x_e, bootstrap, start, rows):
+    """Batch IRLS of the binomial null mean on every row from the shared
+    ``start``, its weights in slice 0 of the later whitened block: the
+    residuals, formed in the IRLS's mu, the mask of rows that fit and, for
+    the bootstrap, the weights."""
+    buffers = (_buffer("mu", rows.shape), _buffer("whitened", rows.shape))
+    irls = binomial_irls(x_e, rows, buffers, start)
     weights = _refit_weights(x_e, irls.mu) if bootstrap else None
     return np.subtract(rows, irls.mu, out=irls.mu), irls.ok, weights
 
@@ -434,7 +439,9 @@ def _kernel(scheme, fit, dataset):
         if bootstrap:
             draw = lambda g, r, out=None: g.standard_normal((r, dataset.n), out=out)  # noqa: E731
     else:
-        refit = partial(_binomial_refit, dataset.x_e, bootstrap)
+        logit_ybar = math.log(dataset.y.mean() / (1.0 - dataset.y.mean()))
+        start = fit.coef if bootstrap else np.r_[logit_ybar, np.zeros(dataset.d - 1)]
+        refit = partial(_binomial_refit, dataset.x_e, bootstrap, start)
         if bootstrap:
             draw = partial(_bernoulli_rows, mu_e=fit.mu_e)
             denom = None  # each row's own, from its refit weights

@@ -236,6 +236,29 @@ class TestBatchIrls:
         first = glm.binomial_irls(x_e, ys[2][None, :])
         assert_allclose(batch.coef[2], first.coef[0], rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("start", [None, np.array([0.3, -0.5, 0.2])])
+    def test_pass_one_is_the_newton_step_from_the_shared_start(self, monkeypatch, start):
+        rng = np.random.default_rng(47)
+        x_e = _random_design(40, 3, 48)
+        ys = (rng.random((6, 40)) < expit(0.2 + 0.8 * x_e[:, 1])).astype(float)
+        at = np.zeros(3) if start is None else start
+        mu0 = expit(x_e @ at)
+        hessian = (x_e * (mu0 * (1 - mu0))[:, None]).T @ x_e
+        expected = at + np.linalg.solve(hessian, x_e.T @ (ys - mu0).T).T
+        monkeypatch.setattr(glm, "IRLS_MAX_ITER", 1)
+        fit = glm.binomial_irls(x_e, ys, start=start)
+        assert fit.iterations == 1 and not fit.converged.any()
+        assert_allclose(fit.coef, expected, rtol=0, atol=1e-12)
+
+    def test_a_row_started_at_its_own_fit_converges_on_the_first_newton_pass(self):
+        rng = np.random.default_rng(49)
+        x_e = _random_design(60, 3, 50)
+        y = (rng.random(60) < expit(0.4 + 0.9 * x_e[:, 1])).astype(float)
+        fit = fit_null(Family.BINOMIAL, y, x_e)
+        again = glm.binomial_irls(x_e, y[None, :], start=fit.coef)
+        assert again.iterations == 2 and again.ok[0]
+        assert_allclose(again.coef[0], fit.coef, rtol=0, atol=1e-8)
+
     def test_separated_batch_stops_early(self):
         z = np.linspace(-2, 2, 30)
         x_e = np.column_stack([np.ones(30), z])

@@ -49,3 +49,21 @@ def test_the_simulation_peak_is_reported():
     assert done.returncode == 0, done.stderr
     (record,) = [json.loads(line) for line in done.stdout.splitlines()]
     assert n * m / 2**20 < record["simulate_peak_mib"] < n * m * 8 / 2**20
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # The reader takes the first line and closes the pipe, so the tool's
+    # next line finds it closed: the tool stops there, quietly.
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), "30", "5", "20", "raw-y", "raw-y"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait()
+    assert first["scheme"] == "raw-y"
+    assert "Traceback" not in stderr, stderr
+    assert proc.returncode != 0  # it stopped at the closed pipe

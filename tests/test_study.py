@@ -684,6 +684,35 @@ class TestReplicateWorkspace:
         assert inside.tobytes() == outside.tobytes()
 
     @pytest.mark.parametrize(
+        "scheme, n, seed",
+        [(ResamplingScheme.RAW_Y, 12, 2), (ResamplingScheme.PARAMETRIC_BOOTSTRAP, 30, 1)],
+    )
+    def test_every_refit_starts_at_the_fit_its_rows_perturb(self, monkeypatch, scheme, n, seed):
+        # The bootstrap's rows are drawn from the null fit; raw-y's keep the
+        # mean of y, whose intercept-only fit is (logit ybar, 0, ...). Both
+        # hold for the blocks and for the rows redrawn one by one.
+        sim = SimulationConfig(n=n, m=5, family=Family.BINOMIAL, beta_e=2.0, seed=seed)
+        dataset = simulate_dataset(sim).dataset
+        fit = fit_null(sim.family, dataset.y, dataset.x_e)
+        ybar = dataset.y.mean()
+        expected = np.zeros(dataset.d)
+        expected[0] = np.log(ybar / (1 - ybar))
+        if scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP:
+            expected = fit.coef
+        real, batches = resampling.binomial_irls, []
+
+        def recording(x_e, ys, buffers=None, start=None):
+            batches.append((len(ys), start))
+            return real(x_e, ys, buffers, start)
+
+        monkeypatch.setattr(resampling, "binomial_irls", recording)
+        replicate_matrix(scheme, fit, dataset, 2048, 5)
+        rows = [len_ys for len_ys, _ in batches]
+        assert rows.count(1024) == 2 and sum(rows) - 2048 >= 10
+        for _, start in batches:
+            assert_allclose(start, expected, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize(
         "family, schemes",
         [
             (Family.NORMAL, tuple(ResamplingScheme)),

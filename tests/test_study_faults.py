@@ -51,3 +51,21 @@ def test_a_bad_count_prints_the_usage(argv):
     done = subprocess.run([sys.executable, str(TOOL), *argv], capture_output=True, text=True)
     assert done.returncode == 2
     assert not done.stdout and "study_faults.py K" in done.stderr
+
+
+def test_a_reader_that_closes_the_pipe_gets_no_traceback():
+    # The reader takes the first line and closes the pipe, so the tool's
+    # next line finds it closed: the tool stops there, quietly.
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    first = json.loads(proc.stdout.readline())
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.wait()
+    assert first["study"] == "study-normal"
+    assert "Traceback" not in stderr, stderr
+    assert proc.returncode != 0  # it stopped at the closed pipe

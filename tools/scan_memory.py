@@ -25,6 +25,7 @@ The permscan on PYTHONPATH is measured, else the one in this checkout's
 
 import json
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -51,7 +52,9 @@ def _traced_peak(call):
 
 
 def measure(n, m, b, scheme_name):
-    """Print the JSON line of one scheme; run in a fresh process."""
+    """Print the JSON line of one scheme; run in a fresh process, which a
+    reader that closes the pipe early (``| head -1``) ends quietly."""
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     import permscan as ps
 
     n, m, b = int(n), int(m), int(b)
@@ -91,7 +94,7 @@ def main(argv):
         child = [sys.executable, "-c", CHILD, str(ROOT / "tools"), str(ROOT / "src")]
         code = subprocess.run([*child, n, m, b, scheme]).returncode
         if code:
-            return code
+            return code if code > 0 else 128 - code  # a signal, as a shell reports it
     return 0
 
 

@@ -33,6 +33,7 @@ The permscan on PYTHONPATH is measured, else the one in this checkout's
 
 import json
 import resource
+import signal
 import sys
 import time
 from pathlib import Path
@@ -128,4 +129,7 @@ def main(argv):
 
 
 if __name__ == "__main__":
+    # A reader that closes the pipe early (``| head -1``) ends the tool
+    # quietly, as it would any Unix filter, not with a BrokenPipeError.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main(sys.argv[1:]))
