@@ -284,14 +284,17 @@ def outer_rows(x):
     return (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
 
 
-def _separated(mu, coef, x_scale):
-    """Rows whose probabilities reached 0 or 1 within SEPARATION_TOL. Only a
-    row whose bound sum_i |coef_i| * max_n |x_ni| on |eta| reaches
-    _SEPARATION_ETA is scanned."""
+def _clip_separated(mu, coef, x_scale):
+    """Clip the probabilities ``mu`` to [1e-12, 1 - 1e-12] in place and
+    return the mask of rows that reached 0 or 1 within SEPARATION_TOL. Only
+    a row whose bound sum_i |coef_i| * max_n |x_ni| on |eta| reaches
+    _SEPARATION_ETA is clipped and scanned: every other row's probabilities
+    lie at least 2.7e-10 from 0 and 1, where the clip changes nothing."""
     separated = np.zeros(len(mu), dtype=bool)
     candidates = np.flatnonzero(np.abs(coef) @ x_scale >= _SEPARATION_ETA)
     if candidates.size:
-        near = mu[candidates]
+        near = np.clip(mu[candidates], 1e-12, 1.0 - 1e-12)
+        mu[candidates] = near
         separated[candidates] = (near.min(axis=1) < SEPARATION_TOL) | (
             near.max(axis=1) > 1.0 - SEPARATION_TOL
         )
@@ -330,8 +333,7 @@ def binomial_irls(x_e, ys, buffers=None, start=None):
     iteration = 1
     while True:
         _expit_of_negated(np.matmul(coef, neg_xt, out=mu))
-        np.clip(mu, 1e-12, 1.0 - 1e-12, out=mu)
-        separated = _separated(mu, coef, x_scale)
+        separated = _clip_separated(mu, coef, x_scale)
         if iteration >= IRLS_MAX_ITER or (converged | separated).all():
             break
         iteration += 1

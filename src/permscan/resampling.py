@@ -23,15 +23,15 @@ statistic:
 Every scheme is one *row source* feeding one *evaluator*. A replicate row is
 a permutation of a fixed base vector (the four transform schemes and raw-y),
 gathered from a block of permutation indices, or a bootstrap draw: N(0, I)
-noise (normal) or Bernoulli(mu_e) responses (binomial). The evaluator,
-``_evaluate``, takes a block of rows to residual rows, drops the rows and
-maps the residuals ``_MARKER_BLOCK`` marker columns at a time: a block's
-statistics are the residual rows times the block's fixed marker map, divided
-by the rows' own denominators when the scheme refits them, so no (rows, m)
-array is held unless ``replicate_matrix`` asks for one. Every marker map is
-one helper, ``_marker_block``: the int8 ``x_g[:, cols]`` through the
-scheme's coordinates, divided by the observed denominators, built per block
-and dropped after it.
+noise or its compressed form (normal) or Bernoulli(mu_e) responses
+(binomial). The evaluator, ``_evaluate``, takes a block of rows to residual
+rows, drops the rows and maps the residuals ``_MARKER_BLOCK`` marker columns
+at a time: a block's statistics are the residual rows times the block's
+fixed marker map, divided by the rows' own denominators when the scheme
+refits them, so no (rows, m) array is held unless ``replicate_matrix`` asks
+for one. Every marker map is one helper, ``_marker_block``: the int8
+``x_g[:, cols]`` through the scheme's coordinates, divided by the observed
+denominators, built per block and dropped after it.
 
 * The transform schemes' rows are their own residuals; modified-model's
   coordinates apply the d Householder reflectors of the residual basis and
@@ -39,8 +39,19 @@ and dropped after it.
 * Raw-y and the bootstrap refit their rows' null mean. A normal refit is the
   projection (I - H) row; a bootstrap row is also scaled to the observed
   residual sum of squares phi_hat (n - d), so both keep the observed
-  denominators. A binomial refit is one batch IRLS of the whole block, in
-  whose buffer y - mu_hat is formed. It starts at the fit the rows perturb,
+  denominators. The compressed normal bootstrap runs instead wherever
+  0 < m <= _MARKER_BLOCK, 3m <= n - d and the score correlation R has a
+  Cholesky factor U' U = R (none when a marker is duplicated): a row is m + 1
+  numbers (g, s), g ~ N(0, I_m) and s the root of a chi-square on
+  n - d - m degrees of freedom, and its statistics are
+  sqrt(n - d) g' U / ||(g, s)||, a multivariate t on R. That is the law of
+  the refit of an N(0, I_n) row, whose residual direction is uniform on
+  the (n - d)-sphere and enters only through its m coordinates along the
+  residualized markers and its norm, at m + 1 draws and an m-deep product
+  a row instead of n draws, a refit and an n-deep product. Where 3m > n - d
+  the per-dataset Gram and Cholesky cost more than they save, and the refit
+  runs. A binomial refit is one batch IRLS of the whole block, in whose
+  buffer y - mu_hat is formed. It starts at the fit the rows perturb,
   the null fit for the bootstrap and the intercept-only (logit ybar, 0, ...)
   for raw-y, whose rows keep y's mean, so that its first Newton step is one
   d x d solve for the whole block. The binomial bootstrap also refits the
@@ -54,9 +65,11 @@ and dropped after it.
 Replicates are drawn in fixed blocks of ``_CHUNK``, in replicate order,
 each block from one counter-based stream in the resampling lane of ``rng``
 (whose docstring lays out every key), so replicate r is the same row
-whatever the number of replicates. Every permuting scheme reads the same
-(rows, n) index block of a stream; modified-model keeps each row's indices
-below n - d, in order, which is a uniform permutation of n - d. A row whose
+whatever the number of replicates (a compressed bootstrap block's stream
+yields its ``_CHUNK`` chi-squares before its rows of normals). Every
+permuting scheme reads the same (rows, n) index block of a stream;
+modified-model keeps each row's indices below n - d, in order, which is a
+uniform permutation of n - d. A row whose
 binomial refit fails (separation, non-convergence, a masked system) is
 redrawn, at most ``MAX_REPLICATE_RETRIES`` times, each attempt from its own
 stream. Test hooks replace the draws with fixed index rows: the identity
@@ -97,7 +110,9 @@ from .score import (
     MARKER_BLOCK,
     degenerate,
     marker_blocks,
+    score_correlation,
     score_denominators,
+    score_statistics,
     two_sided_p,
 )
 
@@ -114,7 +129,6 @@ __all__ = [
     "per_dataset_fwer",
     "bonferroni_sidak",
     "mc_mvn_alpha_loc",
-    "McAlphaLoc",
 ]
 
 MAX_REPLICATE_RETRIES = 10
@@ -123,7 +137,8 @@ EXHAUSTIVE_LENGTH_LIMIT = 8
 CUTOFF_CONF = 0.95
 # Bootstrap resamples behind mc_mvn_alpha_loc's standard error.
 MC_BOOTSTRAPS = 100
-# mc_mvn_alpha_loc's tolerance on |R - R'| and on R's least eigenvalue.
+# mc_mvn_alpha_loc's tolerance on |R - R'| and on R's least eigenvalue, and
+# the floor on the squared pivots of the compressed bootstrap's factor of R.
 _CORRELATION_TOL = 1e-8
 # Replicates per random stream. Part of the stream definition: changing it
 # changes every draw. Fixed blocks keep replicate r the same for any b.
@@ -426,6 +441,52 @@ def _bernoulli_rows(gen, rows, mu_e, out=None):
     return np.less(u, mu_e, out=u, casting="unsafe")
 
 
+def _chi_normal_rows(df, m, gen, rows, out=None):
+    """(rows, m + 1) block of rows (g, s), g ~ N(0, I_m) and s the root of a
+    chi-square on ``df`` degrees of freedom, in ``out`` if given. The stream
+    yields the block's _CHUNK chi-squares first, then its rows of normals,
+    so row r is the same whatever ``rows`` is."""
+    norms = np.sqrt(gen.chisquare(df, _CHUNK)[:rows])
+    out = np.empty((rows, m + 1)) if out is None else out
+    out[:, :m] = gen.standard_normal((rows, m))
+    out[:, m] = norms
+    return out
+
+
+def _direction_refit(df, rows):
+    """The g of every row (g, s) scaled to sqrt(df) / ||(g, s)||."""
+    g, scale = rows[:, :-1], np.sqrt(df / np.einsum("bi,bi->b", rows, rows))
+    resid = np.multiply(g, scale[:, None], out=_buffer("resid", g.shape))
+    return resid, np.ones(len(rows), dtype=bool), None
+
+
+def _compressed_normal_bootstrap(fit, dataset):
+    """The compressed normal bootstrap's kernel (module docstring), or None
+    where it does not run: m = 0, m > _MARKER_BLOCK, 3m > n - d, or no upper
+    Cholesky factor [[U, g], [0, s]] of the Gram [[R, t], [t', n - d]] of
+    the score correlation R and the observed t whose least pivot of U
+    squared exceeds _CORRELATION_TOL (a duplicated marker has none). The
+    factor's last column (g, s), with g = U^-T t and ||(g, s)||^2 = n - d,
+    is the identity row: sqrt(n - d) g' U / ||(g, s)|| is the observed t.
+    """
+    n_d, m = dataset.n - dataset.d, dataset.m
+    if not 0 < m <= _MARKER_BLOCK or 3 * m > n_d:
+        return None
+    gram = np.empty((m + 1, m + 1))
+    gram[:m, :m] = score_correlation(fit, dataset.x_g).r
+    gram[m, :m] = gram[:m, m] = score_statistics(fit, dataset.x_g).t
+    gram[m, m] = n_d
+    try:
+        factor = np.linalg.cholesky(gram).T
+    except np.linalg.LinAlgError:
+        return None
+    u = factor[:m, :m]
+    if np.diag(u).min() ** 2 <= _CORRELATION_TOL:
+        return None
+    draw = partial(_chi_normal_rows, n_d - m, m)
+    return _Kernel(factor[:, m], draw, partial(_direction_refit, n_d), lambda cols: u[:, cols])
+
+
 def _kernel(scheme, fit, dataset):
     """Base row, draw, refit and marker map of ``scheme`` on ``dataset``."""
     if not scheme.refits_per_replicate:
@@ -433,6 +494,10 @@ def _kernel(scheme, fit, dataset):
         return _Kernel(y_tilde, None, None, x_block)
     denom = score_denominators(fit, dataset.x_g)  # rejects degenerate markers up front
     bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
+    if bootstrap and fit.family is Family.NORMAL:
+        compressed = _compressed_normal_bootstrap(fit, dataset)
+        if compressed is not None:
+            return compressed
     draw = None
     if fit.family is Family.NORMAL:
         refit = partial(_normal_refit, fit, bootstrap)
@@ -494,8 +559,8 @@ def _statistics(
     """
     check_integer("seed", seed, 0)
     fixed = None
-    length = scheme.permuted_length(dataset.n, dataset.d)
     if exhaustive:
+        length = scheme.permuted_length(dataset.n, dataset.d)
         if length > EXHAUSTIVE_LENGTH_LIMIT:
             raise ConfigError(
                 f"exhaustive mode enumerates {length}! permutations; "
@@ -507,9 +572,10 @@ def _statistics(
         b = len(fixed)
     else:
         b = check_integer("b", b, 1)
-        if force_identity:
-            fixed = np.broadcast_to(np.arange(length), (b, length))
     kernel = _kernel(scheme, fit, dataset)
+    if force_identity and fixed is None:
+        length = len(kernel.base)
+        fixed = np.broadcast_to(np.arange(length), (b, length))
     path, m, n = (*path, RESAMPLING_LANE), dataset.m, dataset.n
 
     def block_rows(lo, hi):

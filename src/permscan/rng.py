@@ -11,6 +11,11 @@ Every stochastic unit of work draws from its own Philox stream, keyed by
   ``(r, a)`` of replicate r (one entry longer than a block), or ``(0,)`` and
   ``(1,)`` for the Monte Carlo draws and their bootstrap.
 
+A replicate block's stream yields its rows in replicate order, so replicate
+r is the same row whatever the number of replicates. The compressed normal
+bootstrap's block stream yields its ``resampling._CHUNK`` chi-squares
+first, then its rows of m normals, so that this holds for it too.
+
 The simulator and the resampler add their own lane, so callers pass the
 dataset path alone and a dataset's replicates never reuse one of its
 simulation streams, even when ``simulate`` and ``scan`` share a seed. No

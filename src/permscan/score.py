@@ -150,7 +150,8 @@ def score_correlation(fit, x_g, dense_limit=DENSE_CORRELATION_LIMIT):
     scale = score_denominators(fit, x_g)
     a = _weighted_markers(fit, x_g)
     projected = fit.hat_basis.T @ a
-    cov = a.T @ a - projected.T @ projected
-    r = cov / np.outer(scale, scale)
+    r = a.T @ a
+    r -= projected.T @ projected
+    r /= np.outer(scale, scale)
     np.fill_diagonal(r, 1.0)
-    return ScoreCorrelation(r=np.clip(r, -1.0, 1.0))
+    return ScoreCorrelation(r=np.clip(r, -1.0, 1.0, out=r))

@@ -267,6 +267,39 @@ class TestBatchIrls:
         assert fit.separated.all() and not fit.converged.any()
         assert fit.iterations < glm.IRLS_MAX_ITER
 
+    def test_clipping_only_rows_that_can_reach_the_clip_changes_no_bit(self):
+        # Row 0 separates, and its probabilities pass the clip while the
+        # others take 8 passes to converge with |eta| far below it. The
+        # reference is the loop that clips every row on every pass.
+        rng = np.random.default_rng(61)
+        z = np.linspace(-2, 2, 40)
+        x_e = np.column_stack([np.ones(40), z, rng.standard_normal(40)])
+        ys = (rng.random((5, 40)) < expit(0.3 + 1.5 * z)).astype(float)
+        ys[0] = z > 0
+        gram, y_x = glm.outer_rows(x_e), ys @ x_e
+        mu0 = glm.expit(np.zeros(40))
+        (inv,), _ = glm.cholesky_inverse(((mu0 * (1 - mu0)) @ gram).reshape(1, 3, 3))
+        coef = ((y_x - mu0 @ x_e) @ inv.T) @ inv
+        converged = np.zeros(5, dtype=bool)
+        for iteration in range(1, glm.IRLS_MAX_ITER + 1):
+            mu = np.clip(glm.expit(coef @ x_e.T), 1e-12, 1 - 1e-12)
+            separated = (mu.min(axis=1) < glm.SEPARATION_TOL) | (
+                mu.max(axis=1) > 1 - glm.SEPARATION_TOL
+            )
+            if iteration == glm.IRLS_MAX_ITER or (converged | separated).all():
+                break
+            inv, ok = glm.cholesky_inverse(((mu * (1 - mu)) @ gram).reshape(5, 3, 3))
+            step = np.einsum("bji,bj->bi", inv, np.einsum("bij,bj->bi", inv, y_x - mu @ x_e))
+            step[~ok] = 0.0
+            coef += step
+            limit = glm.IRLS_STEP_TOL * (1.0 + np.abs(coef).max(axis=1))
+            converged |= np.abs(step).max(axis=1) <= limit
+        fit = glm.binomial_irls(x_e, ys)
+        assert fit.separated.tolist() == [True, False, False, False, False]
+        assert fit.converged[1:].all() and fit.iterations == iteration == 8
+        assert fit.mu[0].min() == 1e-12
+        assert np.array_equal(fit.mu, mu) and np.array_equal(fit.coef, coef)
+
 
 class TestCholeskyInverse:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -221,6 +221,42 @@ class TestIdentityFixedPoint:
         assert dist.max_stats[0] < 1e-10
 
 
+def _duplicated_marker_instance():
+    """A normal dataset whose last marker repeats its first: the score
+    correlation is singular, so the normal bootstrap refits its rows."""
+    dataset, fit = _normal_instance(seed=106)
+    x_g = np.column_stack([dataset.x_g, dataset.x_g[:, :1]])
+    return Dataset(y=dataset.y, x_e=dataset.x_e, x_g=x_g), fit
+
+
+# Every row source by name: (scheme, instance, length of a drawn row).
+ROW_SOURCES = {
+    "raw-y": (ResamplingScheme.RAW_Y, lambda: _normal_instance(seed=106), 40),
+    "freedman-lane": (ResamplingScheme.FREEDMAN_LANE, lambda: _normal_instance(seed=106), 40),
+    "binomial-bootstrap": (
+        ResamplingScheme.PARAMETRIC_BOOTSTRAP,
+        lambda: _binomial_instance(n=30, beta_e=2.0, seed=5),
+        30,
+    ),
+    # m + 1 = 5 numbers a row: chi-square norms first, then the normals.
+    "normal-bootstrap-compressed": (
+        ResamplingScheme.PARAMETRIC_BOOTSTRAP,
+        lambda: _normal_instance(seed=106),
+        5,
+    ),
+    "normal-bootstrap-refit": (
+        ResamplingScheme.PARAMETRIC_BOOTSTRAP,
+        _duplicated_marker_instance,
+        40,
+    ),
+}
+
+
+def _row_source(name):
+    scheme, instance, length = ROW_SOURCES[name]
+    return (scheme, *instance(), length)
+
+
 class TestReplicateStatistics:
     def test_normal_equivalence_full_distribution(self):
         dataset, fit = _normal_instance(n=60, m=6, seed=104)
@@ -272,11 +308,13 @@ class TestReplicateStatistics:
             np.sort(np.max(np.abs(matrix), axis=1)), dist.max_stats, atol=0
         )
 
-    def test_block_rows_come_in_replicate_order(self):
-        dataset, fit = _normal_instance(seed=106)
+    @pytest.mark.parametrize("source", sorted(ROW_SOURCES))
+    def test_block_rows_come_in_replicate_order(self, source):
+        scheme, dataset, fit, length = _row_source(source)
+        kernel = resampling._kernel(scheme, fit, dataset)
+        assert len(kernel.base) == length
         short, long = (
-            replicate_matrix(ResamplingScheme.RAW_Y, fit, dataset, b, seed=13)
-            for b in (40, 1500)
+            replicate_matrix(scheme, fit, dataset, b, seed=13) for b in (40, 1500)
         )
         assert np.array_equal(short, long[:40])
 
@@ -718,6 +756,7 @@ class TestKernelReferences:
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n=8, d=3, m=4, b=20, data_seed=0, seed=0)  # 3m > n - d: refit draws
     def test_normal_refit_schemes_match_lstsq(self, n, d, m, b, data_seed, seed):
         rng = np.random.default_rng(data_seed)
         x_e = np.column_stack([np.ones(n), rng.standard_normal((n, d - 1))])
@@ -743,6 +782,19 @@ class TestKernelReferences:
             raw[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi * resid_x_sq)))
             r, phi_rep = refit(y - resid + np.sqrt(phi) * noise[rep])
             boot[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi_rep * resid_x_sq)))
+        kernel = resampling._kernel(ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset)
+        if len(kernel.base) == m + 1:
+            # Compressed draws: the block stream yields _CHUNK chi-squares on
+            # n - d - m degrees of freedom, then rows g of m normals, and a
+            # replicate is sqrt(n - d) g' U / ||(g, s)|| for the Cholesky
+            # factor U' U of the residualized markers' correlation.
+            gen = substream(seed, 3, RESAMPLING_LANE, 0)
+            s_sq = gen.chisquare(n - d - m, resampling._CHUNK)[:b]
+            g = gen.standard_normal((b, m))
+            unit = _ols_residuals(x_e, x_g) / np.sqrt(resid_x_sq)
+            u = np.linalg.cholesky(unit.T @ unit).T
+            t = np.sqrt(n - d) * (g @ u) / np.sqrt(np.sum(g**2, axis=1) + s_sq)[:, None]
+            boot = np.max(np.abs(t), axis=1)
         for scheme, reference in (
             (ResamplingScheme.RAW_Y, raw),
             (ResamplingScheme.PARAMETRIC_BOOTSTRAP, boot),
@@ -794,6 +846,71 @@ class TestKernelReferences:
         )
         # Integer data can cancel a numerator exactly, hence the absolute floor.
         assert_allclose(dist.max_stats, np.sort(reference), rtol=1e-8, atol=1e-8)
+
+
+class TestCompressedNormalBootstrap:
+    """The normal bootstrap on m + 1 numbers a row against refits of
+    N(0, I_n) rows, and the datasets that keep the refit."""
+
+    def test_maxima_follow_the_law_of_refit_rows(self):
+        n, m, b = 400, 100, 20_000
+        sim = SimulationConfig(n=n, m=m, family=Family.NORMAL, beta_e=0.5, rho=0.7, seed=11)
+        dataset = simulate_dataset(sim).dataset
+        fit = fit_null(Family.NORMAL, dataset.y, dataset.x_e)
+        scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
+        assert len(resampling._kernel(scheme, fit, dataset).base) == m + 1
+        compressed = replicate_statistics(scheme, fit, dataset, b, seed=12).max_stats
+        x_e, d = dataset.x_e, dataset.d
+        resid_x = _ols_residuals(x_e, dataset.x_g.astype(float))
+        unit = resid_x / np.linalg.norm(resid_x, axis=0)
+        rng = np.random.default_rng(13)
+        reference = []
+        for _ in range(b // 1000):
+            r = _ols_residuals(x_e, rng.standard_normal((n, 1000)))
+            t = np.sqrt(n - d) * (r.T @ unit) / np.linalg.norm(r, axis=0)[:, None]
+            reference.append(np.max(np.abs(t), axis=1))
+        result = sps.ks_2samp(compressed, np.concatenate(reference))
+        # The two-sample critical value at level 0.1 %.
+        critical = math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2 / b)
+        assert result.statistic < critical
+
+    def test_a_dataset_without_markers_keeps_the_refit(self):
+        dataset, fit = _normal_instance(seed=106)
+        dataset = Dataset(y=dataset.y, x_e=dataset.x_e, x_g=dataset.x_g[:, :0])
+        scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
+        assert resampling._kernel(scheme, fit, dataset).base is dataset.y
+        dist = replicate_statistics(scheme, fit, dataset, 5, seed=1)
+        assert dist.max_stats.tolist() == [0.0] * 5
+
+    @pytest.mark.parametrize(
+        "case", ["duplicated-marker", "3m > n - d", "m > MARKER_BLOCK"]
+    )
+    def test_refit_datasets_keep_the_refit_of_normal_rows(self, case, monkeypatch):
+        if case == "duplicated-marker":
+            dataset, fit = _duplicated_marker_instance()
+        elif case == "3m > n - d":
+            dataset, fit = _normal_instance(n=40, m=13, seed=106)
+        else:
+            monkeypatch.setattr(resampling, "_MARKER_BLOCK", 3)
+            dataset, fit = _normal_instance(seed=106)
+        scheme, (n, d), b = ResamplingScheme.PARAMETRIC_BOOTSTRAP, dataset.x_e.shape, 1100
+        assert resampling._kernel(scheme, fit, dataset).base is dataset.y
+        # Block j's rows are N(0, I_n) draws of its stream; each is refit by
+        # (I - H), scaled to the observed residual sum of squares and mapped
+        # by the markers over the observed denominators.
+        denom = score_denominators(fit, dataset.x_g)
+        expected = []
+        for j, rows in enumerate((1024, b - 1024)):
+            z = substream(7, RESAMPLING_LANE, j).standard_normal((rows, n))
+            resid = z - (z @ fit.hat_basis) @ fit.hat_basis.T
+            ss = np.einsum("bn,bn->b", resid, resid)
+            resid *= np.sqrt(fit.phi_hat * (n - d) / ss)[:, None]
+            blocks = resampling.marker_blocks(dataset.m, resampling._MARKER_BLOCK)
+            expected.append(
+                np.hstack([resid @ (dataset.x_g[:, c].astype(float) / denom[c]) for c in blocks])
+            )
+        matrix = replicate_matrix(scheme, fit, dataset, b, seed=7)
+        assert np.array_equal(matrix, np.vstack(expected))
 
 
 def test_bootstrap_denominators_match_fit_null_per_row():
