@@ -203,7 +203,9 @@ def _writing(path):
 
 
 def _check_out_dir(path):
-    """Fail before any computation when ``path`` has no directory to go in."""
+    """Fail before any computation when ``path`` is or lacks a directory."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"cannot write {path}: {directory} is not a directory")

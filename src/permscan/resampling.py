@@ -50,8 +50,8 @@ denominators, built per block and dropped after it.
   residualized markers and its norm, at m + 1 draws and an m-deep product
   a row instead of n draws, a refit and an n-deep product. Where 3m > n - d
   the per-dataset Gram and Cholesky cost more than they save, and the refit
-  runs. A binomial refit is one batch IRLS of the whole block, in whose
-  buffer y - mu_hat is formed. It starts at the fit the rows perturb,
+  runs. A binomial refit is one batch IRLS of the whole block, which
+  writes y - mu_hat over the rows. It starts at the fit the rows perturb,
   the null fit for the bootstrap and the intercept-only (logit ybar, 0, ...)
   for raw-y, whose rows keep y's mean, so that its first Newton step is one
   d x d solve for the whole block. The binomial bootstrap also refits the
@@ -78,10 +78,10 @@ never redrawn, so its failed refit raises at once.
 
 A study (``run_study``, in ``replicate_workspace``) draws each index block
 of a dataset once and holds for its lifetime buffers of about 8 x rows x n
-bytes each: the index block, the drawn rows, the normal refit's residuals,
-the IRLS mu and the bootstrap's (d, rows, n) whitened block, whose slice 0
-is the IRLS weights. It releases them when it returns or raises. Redrawn
-rows and returned arrays are fresh; ``scan`` allocates per block.
+bytes each: the index block, the drawn rows (a binomial refit's residuals),
+the normal refit's residuals and the binomial refit's (max(d, 2), rows, n)
+block of IRLS weights and mu, over which the bootstrap whitens x_e. It
+releases them when it returns or raises; ``scan`` allocates per block.
 """
 
 import enum
@@ -371,13 +371,18 @@ def _draw(kernel, rows, n, seed, *path, share=False):
 
 def _binomial_refit(x_e, bootstrap, start, rows):
     """Batch IRLS of the binomial null mean on every row from the shared
-    ``start``, its weights in slice 0 of the later whitened block: the
-    residuals, formed in the IRLS's mu, the mask of rows that fit and, for
-    the bootstrap, the weights."""
-    buffers = (_buffer("mu", rows.shape), _buffer("whitened", rows.shape))
-    irls = binomial_irls(x_e, rows, buffers, start)
-    weights = _refit_weights(x_e, irls.mu) if bootstrap else None
-    return np.subtract(rows, irls.mu, out=irls.mu), irls.ok, weights
+    ``start``, mu in slice 1 of one (max(d, 2), rows, n) block and its
+    weights in slice 0: the residuals, written over the rows, the mask of
+    rows that fit and, for the bootstrap, the weights, whitened over mu.
+    Outside a workspace raw-y takes two separate arrays instead: each fits
+    the hole that its freed index block leaves, and the block would not."""
+    if bootstrap or _workspace.get() is not None:
+        block = _buffer("whitened", (max(x_e.shape[1], 2), *rows.shape))
+    else:
+        block = (np.empty(rows.shape), np.empty(rows.shape))
+    irls = binomial_irls(x_e, rows, (block[1], block[0]), start)
+    resid = np.subtract(rows, irls.mu, out=rows)
+    return resid, irls.ok, _refit_weights(x_e, irls.mu, block) if bootstrap else None
 
 
 def _normal_refit(fit, bootstrap, rows):
@@ -394,19 +399,19 @@ def _normal_refit(fit, bootstrap, rows):
     return resid, np.ones(len(rows), dtype=bool), None
 
 
-def _refit_weights(x_e, mu):
+def _refit_weights(x_e, mu, whitened=None):
     """Marker-free half of the refit denominators of each row of fitted
     probabilities ``mu``: the covariates whitened against x_e' W x_e, the
     inverse pivot 1 / l_00 of its Cholesky factor L and the mask of rows
     whose factor exists (``cholesky_inverse``).
 
-    The (d, rows, n) array holds v = L^-1 x_e' W, except slice 0, which is
-    the weights w themselves: x_e[:, 0] is the intercept column of ones that
-    ``Dataset`` checks, so row 0 of L^-1 is (1/l_00, 0, ...) and v_0 is
-    w / l_00.
+    The (d, rows, n) array (fresh, or ``whitened[:d]``, whose slice 1 may be
+    ``mu``) holds v = L^-1 x_e' W, except slice 0, which is the weights w:
+    x_e[:, 0] is the intercept column of ones that ``Dataset`` checks, so
+    row 0 of L^-1 is (1/l_00, 0, ...) and v_0 is w / l_00.
     """
     (rows, n), d = mu.shape, x_e.shape[1]
-    whitened = _buffer("whitened", (d, rows, n))
+    whitened = np.empty((d, rows, n)) if whitened is None else whitened[:d]
     w = np.subtract(1.0, mu, out=whitened[0])
     w *= mu
     inv, ok = cholesky_inverse((w @ outer_rows(x_e)).reshape(rows, d, d))
@@ -422,14 +427,19 @@ def _refit_block_denominators(weights, x_cols):
     ``_refit_weights`` and the mask of rows with a regular system and no
     degenerate marker among them. With v = L^-1 x_e' W, the score variance
     a' (I - H) a is ||W^1/2 x||^2 - ||v x||^2: one (d * rows, n) product
-    and a sum of squares, with no solve."""
+    (one per slice would round a one-row block unlike it, through gemv),
+    squared in place and summed slice by slice, and no solve. It never
+    writes ``x_cols``, and its square is freed before the product."""
     whitened, inv_l00, ok = weights
     d, rows, n = whitened.shape
+    norm_sq = whitened[0] @ np.square(x_cols)
     cross = (whitened.reshape(d * rows, n) @ x_cols).reshape(d, rows, -1)
-    term1 = whitened[0] @ (x_cols**2)
     cross[0] *= inv_l00[:, None]
-    denom_sq = term1 - np.einsum("irj,irj->rj", cross, cross)
-    ok = ok & ~degenerate(denom_sq, term1).any(axis=1)
+    denom_sq = np.square(cross, out=cross)[0]
+    for square in cross[1:]:
+        denom_sq += square
+    np.subtract(norm_sq, denom_sq, out=denom_sq)
+    ok = ok & ~degenerate(denom_sq, norm_sq, out=norm_sq).any(axis=1)
     np.maximum(denom_sq, DEGENERATE_TOL**2, out=denom_sq)
     return np.sqrt(denom_sq, out=denom_sq), ok
 
@@ -517,8 +527,8 @@ def _evaluate(kernel, rows, m, full):
     """Statistics of a block of replicate rows, mapped _MARKER_BLOCK marker
     columns at a time: the (rows, m) matrix if ``full``, else each row's
     running maximum of |t|. Returns them with the mask of rows whose refit
-    succeeded and stayed regular on every column. A refit's rows are
-    released once refit, unless the caller or a workspace holds them."""
+    succeeded and stayed regular on every column. A binomial refit writes
+    its residuals over its rows; other rows are released once refit."""
     resid, ok, weights = rows, np.ones(len(rows), dtype=bool), None
     if kernel.refit is not None:
         resid, ok, weights = kernel.refit(rows)

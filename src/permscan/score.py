@@ -69,14 +69,16 @@ def _weighted_markers(fit, x_g):
     return np.sqrt(fit.variance_diag)[:, None] * x_g
 
 
-def degenerate(denom_sq, norm_sq):
+def degenerate(denom_sq, norm_sq, out=None):
     """Mask of markers whose score variance ``denom_sq`` = ||a||^2 - a' H a
-    is zero up to rounding, given ``norm_sq`` = ||a||^2.
+    is zero up to rounding, given ``norm_sq`` = ||a||^2; the floor is formed
+    in ``out`` if given, which may be ``norm_sq``.
 
     Exact collinearity only cancels down to rounding noise of the norm, so
     the absolute floor DEGENERATE_TOL^2 is paired with a relative one.
     """
-    return denom_sq <= np.maximum(norm_sq * DEGENERATE_TOL, DEGENERATE_TOL**2)
+    floor = np.multiply(norm_sq, DEGENERATE_TOL, out=out)
+    return denom_sq <= np.maximum(floor, DEGENERATE_TOL**2, out=floor)
 
 
 def score_denominators(fit, x_g):

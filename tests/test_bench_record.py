@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -82,4 +83,27 @@ def test_refuses_mixed_environments_and_unpaired_runs(tmp_path):
     _write_result(parent, "study-normal", 2, 1.0)
     (change / "result-study-normal-seed2-trace0.json").write_text(json.dumps(other))
     with pytest.raises(ValueError, match="different environments"):
+        bench_record.fold(parent, change, {})
+
+
+def _set_rounds(directory, workload, seed, rounds):
+    path = directory / f"result-{workload}-seed{seed}-trace0.json"
+    record = json.loads(path.read_text())
+    record["detail"]["round_wall_s"] = rounds
+    path.write_text(json.dumps(record))
+
+
+def test_refuses_a_short_run_among_thirty_second_runs(tmp_path):
+    # 30 s runs of 0.2 s rounds stop within one round of each other; a
+    # 5 s run among them is refused and named.
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(1, 5):
+        for side, count in ((parent, 150 + seed % 2), (change, 151 - seed % 2)):
+            _write_result(side, "study-normal", seed, 0.2)
+            _set_rounds(side, "study-normal", seed, [0.2] * count)
+    record = bench_record.fold(parent, change, {})
+    assert record["workloads"]["study-normal"]["pairs"] == 4
+    _set_rounds(change, "study-normal", 3, [0.2] * 25)
+    short = change / "result-study-normal-seed3-trace0.json"
+    with pytest.raises(ValueError, match=re.escape(f"unequal length; {short} spans 5.00 s")):
         bench_record.fold(parent, change, {})

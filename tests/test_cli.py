@@ -391,6 +391,29 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert f"cannot write {out}: {tmp_path / parent} is not a directory" in err
 
+    @pytest.mark.parametrize("command", ["scan", "study"])
+    def test_an_out_that_is_a_directory_fails_before_computing(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        _, paths = _simulate_files(tmp_path, seed=21)
+        out = tmp_path / "taken"
+        out.mkdir()
+
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} computed before the --out check")
+
+        monkeypatch.setattr("permscan.cli.run_scan", never)
+        monkeypatch.setattr("permscan.cli.run_study", never)
+        if command == "scan":
+            argv = _scan_args(paths, out)
+        else:
+            argv = ["study", "--n", "30", "--m", "2", "--k", "1", "--b", "9", "--out", str(out)]
+        assert main(argv) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert f"config error: cannot write {out}: it is a directory" in err
+        assert out.is_dir() and not any(out.iterdir())
+
     def test_simulate_into_a_file_is_config_error(self, tmp_path, capsys):
         out_dir = tmp_path / "taken"
         out_dir.write_text("not a directory\n")

@@ -2,6 +2,7 @@
 factored once per row fit, and each marker block's denominators are one
 product with the whitened covariates and a sum of squares."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,9 +12,12 @@ from numpy.testing import assert_allclose
 from permscan import (
     Family,
     ResamplingScheme,
+    SimulationConfig,
     fit_null,
     replicate_matrix,
     replicate_statistics,
+    score_statistics,
+    simulate_dataset,
 )
 from permscan import glm, resampling
 from permscan.glm import Dataset, expit
@@ -132,3 +136,45 @@ def test_the_marker_map_solves_no_system(monkeypatch):
     assert np.isfinite(dist.max_stats).all()
     assert shapes and all(shape[1:] == (2, 2) for shape in shapes)
     assert widths == [512, 188]
+
+
+def test_a_bootstrap_block_holds_three_row_buffers():
+    # At n=1000, B=1024 and m=64 a (rows, n) buffer is 7.8 MiB and each
+    # (rows, m) array a sixteenth of one, so the row buffers set the peak:
+    # the drawn rows, over which the residuals are written, and the refit's
+    # (2, rows, n) block of weights and mu, over which the covariates are
+    # whitened.
+    sim = SimulationConfig(n=1000, m=64, family=Family.BINOMIAL, beta_e=0.5, rho=0.5, seed=2)
+    dataset = simulate_dataset(sim).dataset
+    fit = fit_null(sim.family, dataset.y, dataset.x_e)
+    score_statistics(fit, dataset.x_g)  # as a scan does before resampling
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        replicate_statistics(BOOTSTRAP, fit, dataset, 1024, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.3 * 1024 * dataset.n * 8
+
+
+@pytest.mark.parametrize("scheme", [ResamplingScheme.RAW_Y, BOOTSTRAP])
+def test_refits_leave_the_markers_untouched(scheme):
+    dataset = _dataset(3, n=60, m=7)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    x_g = dataset.x_g.copy()
+    replicate_matrix(scheme, fit, dataset, 1100, seed=4)
+    assert np.array_equal(dataset.x_g, x_g)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("dtype", [float, np.int8])
+def test_block_denominators_never_write_the_callers_markers(d, dtype):
+    dataset = _dataset(d)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    mu = np.tile(fit.mu_e, (4, 1)) + np.linspace(-0.02, 0.02, 4)[:, None]
+    x_cols = np.array(dataset.x_g, dtype=dtype)
+    before = x_cols.copy()
+    denom, ok = _denominators(dataset.x_e, x_cols, mu)
+    assert np.array_equal(x_cols, before) and x_cols.flags.writeable
+    assert ok.all() and np.isfinite(denom).all()

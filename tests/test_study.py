@@ -744,6 +744,19 @@ class TestReplicateWorkspace:
         for array in returned:
             assert not any(np.shares_memory(array, buffer) for buffer in held)
 
+    def test_binomial_refits_hold_the_rows_and_one_block(self):
+        # Raw-y and the bootstrap write their residuals over their rows and
+        # keep the IRLS's mu and weights in one (2, rows, n) block.
+        sim = SimulationConfig(n=60, m=4, family=Family.BINOMIAL, beta_e=0.5, seed=3)
+        dataset = simulate_dataset(sim).dataset
+        fit = fit_null(sim.family, dataset.y, dataset.x_e)
+        with resampling.replicate_workspace():
+            for scheme in (ResamplingScheme.RAW_Y, ResamplingScheme.PARAMETRIC_BOOTSTRAP):
+                replicate_statistics(scheme, fit, dataset, 1100, 2)
+            space = resampling._workspace.get()
+            buffers = {key: value.size for key, value in space.items() if isinstance(key, str)}
+        assert buffers == {"rows": 1024 * 60, "whitened": 2 * 1024 * 60}
+
     def test_threads_keep_their_own_workspace(self):
         configs = [_small_config(schemes=tuple(ResamplingScheme), k=4, b=1100)]
         configs.append(replace(configs[0], master_seed=7))

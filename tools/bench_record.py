@@ -10,8 +10,12 @@ sides form a pair. The record, ``BENCH_<NUMBER>.json`` at the repository
 root, holds the commits, the environment of each side, and per workload the
 paired seeds, the correct/attempted/failed counts and the median,
 interquartile range (inclusive quartiles) and runs of every end-to-end
-metric. The change is the commit that adds the record; it is identified by
-the tree of ``src/`` in the git index, so stage the change before running.
+metric. A run's measured span is the sum of its rounds' wall times
+(``detail.round_wall_s``); a workload whose paired runs' spans differ by
+more than its longest round mixes runs of different ``--seconds`` and is
+refused, naming the run farthest from the median span. The change is the
+commit that adds the record; it is identified by the tree of ``src/`` in
+the git index, so stage the change before running.
 """
 
 import argparse
@@ -33,14 +37,34 @@ WHAT = (
 
 
 def _runs(directory):
-    """{workload: {seed: record}} of the untraced result files in ``directory``."""
+    """{workload: {seed: (path, record)}} of the untraced result files in
+    ``directory``."""
     runs = {}
     for path in sorted(Path(directory).glob("result-*-trace0.json")):
         match = RESULT.fullmatch(path.name)
         if match:
             record = json.loads(path.read_text())
-            runs.setdefault(match["workload"], {})[int(match["seed"])] = record
+            runs.setdefault(match["workload"], {})[int(match["seed"])] = (path, record)
     return runs
+
+
+def _check_spans(workload, runs):
+    """Refuse ``workload`` when the spans of its (path, record) ``runs``
+    differ by more than its longest round. A record without
+    ``round_wall_s`` has no span and is not checked."""
+    spans, longest = {}, 0.0
+    for path, record in runs:
+        rounds = record.get("detail", {}).get("round_wall_s")
+        if rounds:
+            spans[path] = sum(rounds)
+            longest = max(longest, max(rounds))
+    if spans and max(spans.values()) - min(spans.values()) > longest:
+        median = float(np.median(list(spans.values())))
+        odd = max(spans, key=lambda path: abs(spans[path] - median))
+        raise ValueError(
+            f"{workload}: runs of unequal length; {odd} spans {spans[odd]:.2f} s "
+            f"against a median of {median:.2f} s, with rounds of at most {longest:.2f} s"
+        )
 
 
 def _environment(records):
@@ -84,9 +108,11 @@ def fold(parent_out, change_out, commits):
         seeds = sorted(parent[workload].keys() & change[workload].keys())
         if not seeds:
             continue
+        paired = [runs[workload][seed] for runs in (parent, change) for seed in seeds]
+        _check_spans(workload, paired)
         sides = {
-            "parent": [parent[workload][seed] for seed in seeds],
-            "change": [change[workload][seed] for seed in seeds],
+            "parent": [parent[workload][seed][1] for seed in seeds],
+            "change": [change[workload][seed][1] for seed in seeds],
         }
         workloads[workload] = {"seeds": seeds, "pairs": len(seeds)}
         for side, records in sides.items():
