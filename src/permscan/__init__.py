@@ -28,7 +28,6 @@ from .resampling import (
     ResamplingScheme,
     bonferroni_sidak,
     cutoff_ci,
-    exchangeable_transform,
     maxt_cutoff,
     mc_mvn_alpha_loc,
     per_dataset_fwer,

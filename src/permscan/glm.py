@@ -11,7 +11,7 @@ which also refits every resampling replicate that needs it.
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -61,10 +61,10 @@ class Dataset:
 
     ``y`` and ``x_e`` are finite. ``x_e`` is n x d with a constant-1
     intercept as its first column and must have full column rank. ``x_g``
-    is n x m with additive minor-allele counts in {0, 1, 2}, checked on the
-    input's own dtype and stored as a C-contiguous int8 matrix, an eighth of
-    its float64 size; every consumer converts one block of marker columns
-    to float at a time. All three arrays are read-only. An input that
+    is n x m, m >= 1, of additive minor-allele counts in {0, 1, 2}, checked
+    on the input's own dtype and stored as a C-contiguous int8 matrix, an
+    eighth of its float64 size; every consumer converts one block of marker
+    columns to float at a time. All three arrays are read-only. An input that
     already has the stored dtype and layout is copied if it is writable, so
     the caller's arrays are never made read-only.
     """
@@ -79,6 +79,8 @@ class Dataset:
         x_g = np.asarray(self.x_g)
         if y.ndim != 1 or x_e.ndim != 2 or x_g.ndim != 2:
             raise ValueError("y must be a vector; x_e and x_g must be matrices")
+        if not x_g.shape[1]:
+            raise ValueError("x_g must have at least one marker column")
         n = y.shape[0]
         if x_e.shape[0] != n or x_g.shape[0] != n:
             raise ValueError("y, x_e and x_g must agree on the number of rows")
@@ -126,8 +128,8 @@ class NullModelFit:
     ``hat_basis`` is an orthonormal basis of the column space of
     sqrt(variance) * x_e; the weighted hat matrix is ``hat_basis @ hat_basis.T``
     and is never materialized except on demand for small problems. The
-    object is immutable after construction (the score denominators of one
-    read-only genotype matrix are cached lazily, written at most once).
+    object is immutable after construction and compares by identity, which
+    keys ``score``'s cache of its denominators.
     """
 
     family: Family
@@ -139,9 +141,6 @@ class NullModelFit:
     phi_hat: float
     hat_basis: np.ndarray
     iterations: int = 0
-    # (x_g, denominators) of score.score_denominators; not carried by a
-    # dataclasses.replace copy, whose weights may differ.
-    _denom_cache: tuple | None = field(default=None, init=False, repr=False)
 
     @property
     def n(self):

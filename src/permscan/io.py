@@ -154,6 +154,8 @@ def read_genotypes(path):
     if fast is not None:
         return fast
     header, values = _parse_matrix(path)
+    if not header:
+        raise ParseError(f"{path} has no marker columns")
     bad = np.argwhere(~np.isin(values, (0.0, 1.0, 2.0)))
     if bad.size:
         row, col = int(bad[0, 0]) + 1, int(bad[0, 1]) + 1

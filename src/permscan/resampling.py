@@ -20,18 +20,20 @@ statistic:
 * ``PARAMETRIC_BOOTSTRAP`` draws new responses from the fitted null
   distribution and refits everything, denominators included, per replicate.
 
-Every scheme is one *row source* feeding one *evaluator*. A replicate row is
-a permutation of a fixed base vector (the four transform schemes and raw-y),
-gathered from a block of permutation indices, or a bootstrap draw: N(0, I)
-noise or its compressed form (normal) or Bernoulli(mu_e) responses
-(binomial). The evaluator, ``_evaluate``, takes a block of rows to residual
-rows, drops the rows and maps the residuals ``_MARKER_BLOCK`` marker columns
-at a time: a block's statistics are the residual rows times the block's
-fixed marker map, divided by the rows' own denominators when the scheme
-refits them, so no (rows, m) array is held unless ``replicate_matrix`` asks
-for one. Every marker map is one helper, ``_marker_block``: the int8
-``x_g[:, cols]`` through the scheme's coordinates, divided by the observed
-denominators, built per block and dropped after it.
+Every scheme is one *row source* feeding one *evaluator*, and one builder,
+``exchangeable_transform``, makes both for every scheme as a ``_Kernel``:
+base row, draw, refit and marker map. A replicate row is a permutation of
+a fixed base vector (the four transform schemes and raw-y), gathered from a
+block of permutation indices, or a bootstrap draw: N(0, I) noise or its
+compressed form (normal) or Bernoulli(mu_e) responses (binomial). The
+evaluator, ``_evaluate``, takes a block of rows to residual rows, drops the
+rows and maps the residuals ``_MARKER_BLOCK`` marker columns at a time: a
+block's statistics are the residual rows times the block's fixed marker
+map, divided by the rows' own denominators when the scheme refits them, so
+no (rows, m) array is held unless ``replicate_matrix`` asks for one. Every
+marker map is one helper, ``_marker_block``: the int8 ``x_g[:, cols]``
+through the scheme's coordinates, divided by the observed denominators,
+built per block and dropped after it.
 
 * The transform schemes' rows are their own residuals; modified-model's
   coordinates apply the d Householder reflectors of the residual basis and
@@ -40,7 +42,7 @@ denominators, built per block and dropped after it.
   projection (I - H) row; a bootstrap row is also scaled to the observed
   residual sum of squares phi_hat (n - d), so both keep the observed
   denominators. The compressed normal bootstrap runs instead wherever
-  0 < m <= _MARKER_BLOCK, 3m <= n - d and the score correlation R has a
+  m <= _MARKER_BLOCK, 3m <= n - d and the score correlation R has a
   Cholesky factor U' U = R (none when a marker is duplicated): a row is m + 1
   numbers (g, s), g ~ N(0, I_m) and s the root of a chi-square on
   n - d - m degrees of freedom, and its statistics are
@@ -120,8 +122,6 @@ __all__ = [
     "ResamplingScheme",
     "MaxTDistribution",
     "CutoffResult",
-    "Transform",
-    "exchangeable_transform",
     "replicate_statistics",
     "replicate_matrix",
     "maxt_cutoff",
@@ -173,14 +173,6 @@ _NORMAL_THEORY_SCHEMES = (
     ResamplingScheme.MODIFIED_MODEL,
     ResamplingScheme.FULL_MODEL_RESIDUALS,
 )
-
-
-class Transform(NamedTuple):
-    """Scheme-specific pair: the replicate statistics of the marker columns
-    ``cols`` are ``(P y_tilde) @ x_block(cols)``."""
-
-    y_tilde: np.ndarray
-    x_block: Callable
 
 
 @dataclass(frozen=True)
@@ -235,17 +227,11 @@ class McAlphaLoc(NamedTuple):
 
 
 def exchangeable_transform(scheme, fit, dataset):
-    """The permuted vector ``y_tilde`` of a transform scheme and the
-    function ``x_block`` that builds the columns ``cols`` of its marker map
-    from the int8 ``x_g`` alone, so that permutations of ``y_tilde`` give
-    the scheme's replicate statistics with fixed denominators. Refit-per-
-    replicate schemes (raw-y, parametric bootstrap) have no fixed transform
-    and are rejected here."""
-    if scheme.refits_per_replicate:
-        raise ConfigError(
-            f"scheme {scheme.value!r} refits per replicate and has no fixed "
-            "exchangeable transform"
-        )
+    """The ``_Kernel`` of ``scheme`` on ``dataset``: its base row, draw,
+    refit and the function ``x_block`` that builds the columns ``cols`` of
+    its marker map from the int8 ``x_g`` alone. The transform schemes
+    permute a fixed residual vector against fixed denominators; raw-y and
+    the bootstrap refit their rows."""
     n, m, d = dataset.n, dataset.m, dataset.d
     if scheme is ResamplingScheme.FULL_MODEL_RESIDUALS and n <= m + d:
         raise ConfigError(
@@ -263,24 +249,40 @@ def exchangeable_transform(scheme, fit, dataset):
             "theory; the standardized-residuals scheme is the intended "
             "analogue for this family",
             UserWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
-    denom = score_denominators(fit, dataset.x_g)
-    x_g, coords = dataset.x_g, _as_float
+    denom = score_denominators(fit, dataset.x_g)  # rejects degenerate markers up front
+    x_g, coords, base, draw, refit = dataset.x_g, _as_float, dataset.y, None, None
+    bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
     if scheme is ResamplingScheme.FREEDMAN_LANE:
-        y_t = dataset.y - fit.hat_apply(dataset.y)
+        base = dataset.y - fit.hat_apply(dataset.y)
     elif scheme is ResamplingScheme.MODIFIED_MODEL:
         coords = fit.residual_coordinates
-        y_t = coords(dataset.y)
+        base = coords(dataset.y)
     elif scheme is ResamplingScheme.STANDARDIZED_RESIDUALS:
         scale = np.sqrt(fit.variance_diag)[:, None]
         coords = lambda x: scale * x  # noqa: E731
-        y_t = fit.residuals / scale[:, 0]
-    elif fit.family is Family.NORMAL:  # FULL_MODEL_RESIDUALS
-        y_t = lstsq_residuals(np.hstack([dataset.x_e, x_g]), dataset.y)
-    else:  # FULL_MODEL_RESIDUALS
-        y_t = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g])).residuals
-    return Transform(y_t, partial(_marker_block, x_g, coords, denom))
+        base = fit.residuals / scale[:, 0]
+    elif scheme is ResamplingScheme.FULL_MODEL_RESIDUALS:
+        if fit.family is Family.NORMAL:
+            base = lstsq_residuals(np.hstack([dataset.x_e, x_g]), dataset.y)
+        else:
+            base = fit_null(fit.family, dataset.y, np.hstack([dataset.x_e, x_g])).residuals
+    elif fit.family is Family.NORMAL:
+        compressed = _compressed_normal_bootstrap(fit, dataset) if bootstrap else None
+        if compressed is not None:
+            return compressed
+        refit = partial(_normal_refit, fit, bootstrap)
+        if bootstrap:
+            draw = lambda g, r, out=None: g.standard_normal((r, n), out=out)  # noqa: E731
+    else:
+        logit_ybar = math.log(dataset.y.mean() / (1.0 - dataset.y.mean()))
+        start = fit.coef if bootstrap else np.r_[logit_ybar, np.zeros(d - 1)]
+        refit = partial(_binomial_refit, dataset.x_e, bootstrap, start)
+        if bootstrap:
+            draw = partial(_bernoulli_rows, mu_e=fit.mu_e)
+            denom = None  # each row's own, from its refit weights
+    return _Kernel(base, draw, refit, partial(_marker_block, x_g, coords, denom))
 
 
 def _as_float(x):
@@ -422,18 +424,21 @@ def _refit_weights(x_e, mu, whitened=None):
     return whitened, inv[:, 0, 0], ok
 
 
-def _refit_block_denominators(weights, x_cols):
+def _refit_block_denominators(weights, x_cols, *, in_place=False):
     """Score denominators of the marker columns ``x_cols`` for every row of
     ``_refit_weights`` and the mask of rows with a regular system and no
     degenerate marker among them. With v = L^-1 x_e' W, the score variance
     a' (I - H) a is ||W^1/2 x||^2 - ||v x||^2: one (d * rows, n) product
     (one per slice would round a one-row block unlike it, through gemv),
-    squared in place and summed slice by slice, and no solve. It never
-    writes ``x_cols``, and its square is freed before the product."""
+    squared in place and summed slice by slice, and no solve. It writes
+    ``x_cols`` only ``in_place``, for a float block of counts the caller
+    owns: squared for ||W^1/2 x||^2, then restored exactly by its root."""
     whitened, inv_l00, ok = weights
     d, rows, n = whitened.shape
-    norm_sq = whitened[0] @ np.square(x_cols)
     cross = (whitened.reshape(d * rows, n) @ x_cols).reshape(d, rows, -1)
+    norm_sq = whitened[0] @ np.square(x_cols, out=x_cols if in_place else None)
+    if in_place:
+        np.sqrt(x_cols, out=x_cols)
     cross[0] *= inv_l00[:, None]
     denom_sq = np.square(cross, out=cross)[0]
     for square in cross[1:]:
@@ -472,7 +477,7 @@ def _direction_refit(df, rows):
 
 def _compressed_normal_bootstrap(fit, dataset):
     """The compressed normal bootstrap's kernel (module docstring), or None
-    where it does not run: m = 0, m > _MARKER_BLOCK, 3m > n - d, or no upper
+    where it does not run: m > _MARKER_BLOCK, 3m > n - d, or no upper
     Cholesky factor [[U, g], [0, s]] of the Gram [[R, t], [t', n - d]] of
     the score correlation R and the observed t whose least pivot of U
     squared exceeds _CORRELATION_TOL (a duplicated marker has none). The
@@ -480,7 +485,7 @@ def _compressed_normal_bootstrap(fit, dataset):
     is the identity row: sqrt(n - d) g' U / ||(g, s)|| is the observed t.
     """
     n_d, m = dataset.n - dataset.d, dataset.m
-    if not 0 < m <= _MARKER_BLOCK or 3 * m > n_d:
+    if m > _MARKER_BLOCK or 3 * m > n_d:
         return None
     gram = np.empty((m + 1, m + 1))
     gram[:m, :m] = score_correlation(fit, dataset.x_g).r
@@ -495,32 +500,6 @@ def _compressed_normal_bootstrap(fit, dataset):
         return None
     draw = partial(_chi_normal_rows, n_d - m, m)
     return _Kernel(factor[:, m], draw, partial(_direction_refit, n_d), lambda cols: u[:, cols])
-
-
-def _kernel(scheme, fit, dataset):
-    """Base row, draw, refit and marker map of ``scheme`` on ``dataset``."""
-    if not scheme.refits_per_replicate:
-        y_tilde, x_block = exchangeable_transform(scheme, fit, dataset)
-        return _Kernel(y_tilde, None, None, x_block)
-    denom = score_denominators(fit, dataset.x_g)  # rejects degenerate markers up front
-    bootstrap = scheme is ResamplingScheme.PARAMETRIC_BOOTSTRAP
-    if bootstrap and fit.family is Family.NORMAL:
-        compressed = _compressed_normal_bootstrap(fit, dataset)
-        if compressed is not None:
-            return compressed
-    draw = None
-    if fit.family is Family.NORMAL:
-        refit = partial(_normal_refit, fit, bootstrap)
-        if bootstrap:
-            draw = lambda g, r, out=None: g.standard_normal((r, dataset.n), out=out)  # noqa: E731
-    else:
-        logit_ybar = math.log(dataset.y.mean() / (1.0 - dataset.y.mean()))
-        start = fit.coef if bootstrap else np.r_[logit_ybar, np.zeros(dataset.d - 1)]
-        refit = partial(_binomial_refit, dataset.x_e, bootstrap, start)
-        if bootstrap:
-            draw = partial(_bernoulli_rows, mu_e=fit.mu_e)
-            denom = None  # each row's own, from its refit weights
-    return _Kernel(dataset.y, draw, refit, partial(_marker_block, dataset.x_g, _as_float, denom))
 
 
 def _evaluate(kernel, rows, m, full):
@@ -541,7 +520,7 @@ def _evaluate(kernel, rows, m, full):
         else:
             # The denominators come first, so their transients never meet
             # the statistics, which then take their buffer.
-            row_denom, cols_ok = _refit_block_denominators(weights, x_cols)
+            row_denom, cols_ok = _refit_block_denominators(weights, x_cols, in_place=True)
             ok &= cols_ok
             stats = np.divide(resid @ x_cols, row_denom, out=row_denom)
             del row_denom
@@ -582,7 +561,7 @@ def _statistics(
         b = len(fixed)
     else:
         b = check_integer("b", b, 1)
-    kernel = _kernel(scheme, fit, dataset)
+    kernel = exchangeable_transform(scheme, fit, dataset)
     if force_identity and fixed is None:
         length = len(kernel.base)
         fixed = np.broadcast_to(np.arange(length), (b, length))

@@ -8,7 +8,7 @@ Each marker j is tested against the null fit with the statistic
 where H is the weighted hat projection of the null fit. The dispersion
 cancels between numerator and denominator, so only the variance diagonal
 needs estimating. Denominators depend on the design alone. They are
-computed once per fit and read-only genotype matrix, cached on the fit and
+computed once per fit and read-only genotype matrix, cached here by fit and
 shared by the observed statistics and every resampling scheme's
 replicates; only the binomial bootstrap recomputes them on every replicate.
 The denominators and the observed statistics walk the genotype matrix
@@ -17,6 +17,7 @@ compact (int8) matrix is never copied whole.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ DEGENERATE_TOL = 1e-12
 DENSE_CORRELATION_LIMIT = 2000
 # Marker columns converted to float64 at a time.
 MARKER_BLOCK = 512
+# (x_g, denominators) of score_denominators by fit. Fits compare by identity,
+# so a dataclasses.replace copy, whose weights may differ, is a new key.
+_DENOM_CACHE = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -89,11 +93,11 @@ def score_denominators(fit, x_g):
     The weighted markers a_j are formed ``MARKER_BLOCK`` columns at a time,
     so ``x_g`` of any numeric dtype (``Dataset.x_g`` is int8) is never
     converted whole. The read-only result for the first read-only ``x_g``
-    that owns its memory (as ``Dataset.x_g`` does) is cached on ``fit`` and
+    that owns its memory (as ``Dataset.x_g`` does) is cached for ``fit`` and
     served whenever that same array, still read-only, comes back; any other
     matrix, a view included, is computed afresh.
     """
-    cached = fit._denom_cache
+    cached = _DENOM_CACHE.get(fit)
     if cached is not None and cached[0] is x_g and not x_g.flags.writeable:
         return cached[1]
     markers = _check_markers(fit, x_g)
@@ -115,7 +119,7 @@ def score_denominators(fit, x_g):
     owned = isinstance(x_g, np.ndarray) and x_g.base is None
     if cached is None and owned and not x_g.flags.writeable:
         denom.flags.writeable = False
-        object.__setattr__(fit, "_denom_cache", (x_g, denom))
+        _DENOM_CACHE[fit] = (x_g, denom)
     return denom
 
 

@@ -2,7 +2,8 @@
 
 One test per acceptance criterion, each printing a PASS/FAIL line. The
 calibration studies (criteria 1 and 2) run at desk scale, K = 1000 datasets
-by B = 500 replicates, and dominate the runtime of this module.
+by B = 500 replicates, on a pool of two workers, and dominate the runtime of
+this module.
 """
 
 import math
@@ -95,28 +96,44 @@ def _below_grid_check(result, label):
     )
 
 
-def _calibration(family, beta_e, schemes, rho=0.7):
+def _calibration(family, beta_e, schemes, rho=0.7, k=DESK_K, workers=2):
     sim = SimulationConfig(
         n=400, m=100, family=family, beta_e=beta_e, rho=rho, seed=MASTER_SEED
     )
     config = StudyConfig(
         sim=sim,
         schemes=schemes,
-        k=DESK_K,
+        k=k,
         b=DESK_B,
         alpha=0.05,
-        workers=1,
+        workers=workers,
         master_seed=MASTER_SEED,
     )
     return run_study(config)
+
+
+def _serial_prefix(result, family, beta_e, schemes):
+    """Whether every scheme's first 20 alpha_hat of the pooled study equal,
+    bitwise, those of a workers=1 study of K=20."""
+    serial = _calibration(family, beta_e, schemes, k=20, workers=1)
+    return all(
+        np.array_equal(result.per_scheme[s].alpha_hat[:20], serial.per_scheme[s].alpha_hat)
+        for s in schemes
+    )
+
+
+def _serial_check(equal):
+    return (all(equal), "first 20 alpha_hat of every study equal a workers=1 study of K=20")
 
 
 def test_criterion_1_normal_calibration_pattern():
     schemes = VALID_SCHEMES + (ResamplingScheme.RAW_Y,)
     checks = []
     start = time.perf_counter()
+    serial = []
     for beta_e in (0.0, 0.5, 1.0):
         result = _calibration(Family.NORMAL, beta_e, schemes)
+        serial.append(_serial_prefix(result, Family.NORMAL, beta_e, schemes))
         for scheme in VALID_SCHEMES:
             value = result.per_scheme[scheme].alpha_tilde
             checks.append(
@@ -143,6 +160,7 @@ def test_criterion_1_normal_calibration_pattern():
             result.per_scheme[ResamplingScheme.STANDARDIZED_RESIDUALS].alpha_hat,
         )
         checks.append((equal, f"beta_e={beta_e}: FL and standardized agree"))
+    checks.append(_serial_check(serial))
     checks.append((True, f"elapsed {time.perf_counter() - start:.0f} s"))
     _report(1, "normal-family calibration table", checks)
 
@@ -155,8 +173,10 @@ def test_criterion_2_binomial_calibration_pattern():
     )
     checks = []
     start = time.perf_counter()
+    serial = []
     for beta_e in (0.0, 1.5):
         result = _calibration(Family.BINOMIAL, beta_e, schemes)
+        serial.append(_serial_prefix(result, Family.BINOMIAL, beta_e, schemes))
         values = {s: result.per_scheme[s].alpha_tilde for s in schemes}
         if beta_e == 0.0:
             for scheme, value in values.items():
@@ -187,6 +207,7 @@ def test_criterion_2_binomial_calibration_pattern():
                     f"beta_e=1.5 standardized-residuals: {std:.4f} in [0.015, 0.05]",
                 )
             )
+    checks.append(_serial_check(serial))
     checks.append((True, f"elapsed {time.perf_counter() - start:.0f} s"))
     _report(2, "binomial-family calibration table", checks)
 

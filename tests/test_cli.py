@@ -157,6 +157,14 @@ class TestExitCodes:
         message = capsys.readouterr().err
         assert "row 7" in message and "column 2" in message
 
+    def test_genotypes_without_marker_columns_are_a_parse_error(self, tmp_path, capsys):
+        # Eleven blank lines parse as an empty header over ten empty rows.
+        _, paths = _simulate_files(tmp_path, n=10, m=2, seed=12)
+        genotype_path = tmp_path / "genotypes.csv"
+        genotype_path.write_text("\n" * 11)
+        assert main(_scan_args(paths, tmp_path / "r.csv")) == 2
+        assert f"{genotype_path} has no marker columns" in capsys.readouterr().err
+
     def test_missing_value_is_parse_error(self, tmp_path, capsys):
         _, paths = _simulate_files(tmp_path, n=10, m=2, seed=12)
         phenotype_path = tmp_path / "phenotype.csv"

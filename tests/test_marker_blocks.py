@@ -12,7 +12,6 @@ from permscan import (
     Family,
     ResamplingScheme,
     SimulationConfig,
-    exchangeable_transform,
     fit_null,
     replicate_matrix,
     replicate_statistics,
@@ -20,6 +19,7 @@ from permscan import (
     simulate_dataset,
 )
 from permscan import resampling, score
+from permscan.resampling import exchangeable_transform
 from permscan.rng import RESAMPLING_LANE, substream
 
 
@@ -84,7 +84,7 @@ def test_a_row_failing_only_on_its_last_block_is_redrawn(monkeypatch):
     dataset, fit = _instance(Family.BINOMIAL, n=40, m=6, beta_e=0.5, seed=3)
     scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
     monkeypatch.setattr(resampling, "_MARKER_BLOCK", 2)
-    kernel = resampling._kernel(scheme, fit, dataset)
+    kernel = exchangeable_transform(scheme, fit, dataset)
 
     def maxima(rows):
         stats, ok = resampling._evaluate(kernel, rows, dataset.m, True)
@@ -95,8 +95,8 @@ def test_a_row_failing_only_on_its_last_block_is_redrawn(monkeypatch):
     expected[5] = maxima(kernel.draw(substream(8, RESAMPLING_LANE, 5, 1), 1))[0]
     real, failed = resampling._refit_block_denominators, []
 
-    def last_block_fails(weights, x_cols):
-        row_denom, ok = real(weights, x_cols)
+    def last_block_fails(weights, x_cols, **flags):
+        row_denom, ok = real(weights, x_cols, **flags)
         if len(ok) > 1 and np.array_equal(x_cols, dataset.x_g[:, 4:]):
             failed.append(5)
             ok = ok & (np.arange(len(ok)) != 5)

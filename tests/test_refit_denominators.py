@@ -121,11 +121,11 @@ def test_the_marker_map_solves_no_system(monkeypatch):
         shapes.append(a.shape)
         return real_factor(a)
 
-    def marker_map(weights, x_cols):
+    def marker_map(weights, x_cols, **flags):
         mapping.append(x_cols.shape)
         widths.append(x_cols.shape[1])
         try:
-            return real_map(weights, x_cols)
+            return real_map(weights, x_cols, **flags)
         finally:
             mapping.pop()
 
@@ -178,3 +178,18 @@ def test_block_denominators_never_write_the_callers_markers(d, dtype):
     denom, ok = _denominators(dataset.x_e, x_cols, mu)
     assert np.array_equal(x_cols, before) and x_cols.flags.writeable
     assert ok.all() and np.isfinite(denom).all()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_block_denominators_in_place_restore_the_counts_exactly(d):
+    # In place, a float block of counts is squared and rooted back: the
+    # block comes back bitwise, and so do the denominators of a fresh square.
+    dataset = _dataset(d)
+    fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
+    mu = np.tile(fit.mu_e, (4, 1)) + np.linspace(-0.02, 0.02, 4)[:, None]
+    weights = resampling._refit_weights(dataset.x_e, mu)
+    x_cols = dataset.x_g.astype(float)
+    denom, ok = resampling._refit_block_denominators(weights, x_cols.copy())
+    in_place = resampling._refit_block_denominators(weights, x_cols, in_place=True)
+    assert np.array_equal(x_cols, dataset.x_g)
+    assert np.array_equal(in_place[0], denom) and np.array_equal(in_place[1], ok)

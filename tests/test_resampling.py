@@ -27,7 +27,6 @@ from permscan import (
     alpha_loc_study,
     bonferroni_sidak,
     cutoff_ci,
-    exchangeable_transform,
     fit_null,
     maxt_cutoff,
     mc_mvn_alpha_loc,
@@ -40,6 +39,7 @@ from permscan import (
 from permscan.score import score_denominators
 from permscan import resampling
 from permscan.glm import Dataset, NullModelFit
+from permscan.resampling import exchangeable_transform
 from permscan.rng import RESAMPLING_LANE, substream
 
 TRANSFORM_SCHEMES = [
@@ -83,17 +83,17 @@ class TestExchangeableTransform:
         transform = exchangeable_transform(
             ResamplingScheme.FREEDMAN_LANE, fit, dataset
         )
-        assert_allclose(transform.y_tilde, y - y.mean(), atol=1e-12)
+        assert_allclose(transform.base, y - y.mean(), atol=1e-12)
 
     def test_modified_model_preserves_residual_norm(self):
         dataset, fit = _normal_instance()
         transform = exchangeable_transform(
             ResamplingScheme.MODIFIED_MODEL, fit, dataset
         )
-        assert transform.y_tilde.shape == (dataset.n - dataset.d,)
+        assert transform.base.shape == (dataset.n - dataset.d,)
         projected = dataset.y - fit.hat_apply(dataset.y)
         assert_allclose(
-            transform.y_tilde @ transform.y_tilde, projected @ projected, atol=1e-10
+            transform.base @ transform.base, projected @ projected, atol=1e-10
         )
 
     def test_standardized_residuals_match_freedman_lane_normal(self):
@@ -106,7 +106,7 @@ class TestExchangeableTransform:
             ResamplingScheme.STANDARDIZED_RESIDUALS, fit, dataset
         )
         sigma = np.sqrt(fit.phi_hat)
-        assert_allclose(std.y_tilde, fl.y_tilde / sigma, atol=1e-10)
+        assert_allclose(std.base, fl.base / sigma, atol=1e-10)
         fl_stats = replicate_matrix(
             ResamplingScheme.FREEDMAN_LANE, fit, dataset, 25, seed=7
         )
@@ -114,12 +114,6 @@ class TestExchangeableTransform:
             ResamplingScheme.STANDARDIZED_RESIDUALS, fit, dataset, 25, seed=7
         )
         assert_allclose(std_stats, fl_stats, atol=1e-10)
-
-    def test_refit_schemes_have_no_transform(self):
-        dataset, fit = _normal_instance()
-        for scheme in (ResamplingScheme.RAW_Y, ResamplingScheme.PARAMETRIC_BOOTSTRAP):
-            with pytest.raises(ConfigError):
-                exchangeable_transform(scheme, fit, dataset)
 
     def test_raw_y_keeps_observed_denominators(self):
         # The raw-response scheme refits only the mean: the permuted maxima
@@ -311,7 +305,7 @@ class TestReplicateStatistics:
     @pytest.mark.parametrize("source", sorted(ROW_SOURCES))
     def test_block_rows_come_in_replicate_order(self, source):
         scheme, dataset, fit, length = _row_source(source)
-        kernel = resampling._kernel(scheme, fit, dataset)
+        kernel = exchangeable_transform(scheme, fit, dataset)
         assert len(kernel.base) == length
         short, long = (
             replicate_matrix(scheme, fit, dataset, b, seed=13) for b in (40, 1500)
@@ -384,7 +378,7 @@ class TestExhaustiveMode:
             ResamplingScheme.FREEDMAN_LANE, fit, dataset, None, seed=0, exhaustive=True
         )
         assert dist.b == 5040
-        y_t, x_block = exchangeable_transform(ResamplingScheme.FREEDMAN_LANE, fit, dataset)
+        y_t, _, _, x_block = exchangeable_transform(ResamplingScheme.FREEDMAN_LANE, fit, dataset)
         perms = np.array(list(itertools.permutations(range(7))))
         reference = np.sort(np.max(np.abs(y_t[perms] @ x_block(slice(None))), axis=1))
         assert_allclose(dist.max_stats, reference, rtol=1e-12, atol=0)
@@ -734,7 +728,7 @@ class TestModifiedModelIndexBlock:
         # a standard deviation of about 29; the bound, 150, is over five.
         dataset, fit = _normal_instance(n=5, m=1, seed=106)
         assert dataset.n - dataset.d == 3
-        kernel = resampling._kernel(ResamplingScheme.MODIFIED_MODEL, fit, dataset)
+        kernel = exchangeable_transform(ResamplingScheme.MODIFIED_MODEL, fit, dataset)
         assert len(np.unique(kernel.base)) == 3
         rows = resampling._draw(kernel, 6000, dataset.n, 8, RESAMPLING_LANE, 0)
         orders = Counter(tuple(row) for row in np.argsort(rows, axis=1))
@@ -782,7 +776,7 @@ class TestKernelReferences:
             raw[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi * resid_x_sq)))
             r, phi_rep = refit(y - resid + np.sqrt(phi) * noise[rep])
             boot[rep] = np.max(np.abs(x_g.T @ r / np.sqrt(phi_rep * resid_x_sq)))
-        kernel = resampling._kernel(ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset)
+        kernel = exchangeable_transform(ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset)
         if len(kernel.base) == m + 1:
             # Compressed draws: the block stream yields _CHUNK chi-squares on
             # n - d - m degrees of freedom, then rows g of m normals, and a
@@ -858,7 +852,7 @@ class TestCompressedNormalBootstrap:
         dataset = simulate_dataset(sim).dataset
         fit = fit_null(Family.NORMAL, dataset.y, dataset.x_e)
         scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
-        assert len(resampling._kernel(scheme, fit, dataset).base) == m + 1
+        assert len(exchangeable_transform(scheme, fit, dataset).base) == m + 1
         compressed = replicate_statistics(scheme, fit, dataset, b, seed=12).max_stats
         x_e, d = dataset.x_e, dataset.d
         resid_x = _ols_residuals(x_e, dataset.x_g.astype(float))
@@ -874,13 +868,11 @@ class TestCompressedNormalBootstrap:
         critical = math.sqrt(-0.5 * math.log(0.0005)) * math.sqrt(2 / b)
         assert result.statistic < critical
 
-    def test_a_dataset_without_markers_keeps_the_refit(self):
-        dataset, fit = _normal_instance(seed=106)
-        dataset = Dataset(y=dataset.y, x_e=dataset.x_e, x_g=dataset.x_g[:, :0])
-        scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
-        assert resampling._kernel(scheme, fit, dataset).base is dataset.y
-        dist = replicate_statistics(scheme, fit, dataset, 5, seed=1)
-        assert dist.max_stats.tolist() == [0.0] * 5
+    def test_a_dataset_without_markers_is_rejected(self):
+        # The compressed kernel's guard takes 0 < m for granted.
+        dataset, _ = _normal_instance(seed=106)
+        with pytest.raises(ValueError, match="at least one marker column"):
+            Dataset(y=dataset.y, x_e=dataset.x_e, x_g=dataset.x_g[:, :0])
 
     @pytest.mark.parametrize(
         "case", ["duplicated-marker", "3m > n - d", "m > MARKER_BLOCK"]
@@ -894,7 +886,7 @@ class TestCompressedNormalBootstrap:
             monkeypatch.setattr(resampling, "_MARKER_BLOCK", 3)
             dataset, fit = _normal_instance(seed=106)
         scheme, (n, d), b = ResamplingScheme.PARAMETRIC_BOOTSTRAP, dataset.x_e.shape, 1100
-        assert resampling._kernel(scheme, fit, dataset).base is dataset.y
+        assert exchangeable_transform(scheme, fit, dataset).base is dataset.y
         # Block j's rows are N(0, I_n) draws of its stream; each is refit by
         # (I - H), scaled to the observed residual sum of squares and mapped
         # by the markers over the observed denominators.
@@ -917,7 +909,7 @@ def test_bootstrap_denominators_match_fit_null_per_row():
     # The bootstrap's stacked x_e' W x_e and x_e' W x_g products give each
     # row the denominators that a fit of that row alone gives.
     dataset, fit = _binomial_instance(n=80, m=6, seed=201)
-    kernel = resampling._kernel(ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset)
+    kernel = exchangeable_transform(ResamplingScheme.PARAMETRIC_BOOTSTRAP, fit, dataset)
     rows = kernel.draw(substream(9, RESAMPLING_LANE, 0), 24)
     fits = [fit_null(Family.BINOMIAL, row, dataset.x_e) for row in rows]
     mu = np.vstack([row_fit.mu_e for row_fit in fits])
@@ -954,7 +946,7 @@ class TestSeedCheck:
         def no_work(*args, **kwargs):
             pytest.fail("worked before checking the seed")
 
-        monkeypatch.setattr(resampling, "_kernel", no_work)
+        monkeypatch.setattr(resampling, "exchangeable_transform", no_work)
         monkeypatch.setattr(resampling, "substream", no_work)
         # b=0 and a non-square matrix would raise their own errors if the
         # seed were checked later.
@@ -983,7 +975,7 @@ class TestCountCheck:
         def no_work(*args, **kwargs):
             pytest.fail("worked before checking the replicate count")
 
-        monkeypatch.setattr(resampling, "_kernel", no_work)
+        monkeypatch.setattr(resampling, "exchangeable_transform", no_work)
         for resampler in (replicate_statistics, replicate_matrix):
             with pytest.raises(ConfigError, match="b must be an integer"):
                 resampler(ResamplingScheme.FREEDMAN_LANE, fit, dataset, count, 1)
