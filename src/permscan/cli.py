@@ -81,16 +81,10 @@ class ScanReport:
 
 
 def _default_workers():
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
+    raw = os.environ.get(WORKERS_ENV_VAR, "1")
+    with contextlib.suppress(ValueError):  # a str left here fails check_integer
+        raw = int(raw)
+    return check_integer(WORKERS_ENV_VAR, raw, 1)
 
 
 def _choice(kind, value, noun):

@@ -3,7 +3,8 @@
 The CLI maps these onto distinct exit codes: parse failures (2), model
 fitting failures (3), resampling failures (4) and configuration problems
 (5). Library callers can catch :class:`PermscanError` to get everything.
-``check_integer`` and ``check_real`` word every ConfigError about a bad number.
+``check_integer``, ``check_real`` and ``check_level`` word every ConfigError
+about a bad number.
 """
 
 import math
@@ -98,3 +99,10 @@ def check_real(name, value):
     real = (int, float, np.integer, np.floating)
     if isinstance(value, bool) or not isinstance(value, real) or not math.isfinite(value):
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+
+
+def check_level(name, value):
+    """A ConfigError unless ``value`` passes ``check_real`` and lies in (0, 1)."""
+    check_real(name, value)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be in (0, 1)")

@@ -217,9 +217,9 @@ def write_phenotype(path, y):
 
 
 def write_covariates(path, covariates, names=None):
-    covariates = np.atleast_2d(np.asarray(covariates, dtype=float))
-    if covariates.shape[0] == 1 and covariates.shape[1] > 1:
-        covariates = covariates.T
+    covariates = np.atleast_1d(np.asarray(covariates, dtype=float))
+    if covariates.ndim == 1:
+        covariates = covariates[:, None]
     names = names or [f"x{j + 1}" for j in range(covariates.shape[1])]
     if len(names) != covariates.shape[1]:
         raise ValueError(f"{len(names)} names for {covariates.shape[1]} covariates")

@@ -27,7 +27,7 @@ a fixed base vector (the four transform schemes and raw-y), gathered from a
 block of permutation indices, or a bootstrap draw: N(0, I) noise or its
 compressed form (normal) or Bernoulli(mu_e) responses (binomial). The
 evaluator, ``_evaluate``, takes a block of rows to residual rows, drops the
-rows and maps the residuals ``_MARKER_BLOCK`` marker columns at a time: a
+rows and maps the residuals ``MARKER_BLOCK`` marker columns at a time: a
 block's statistics are the residual rows times the block's fixed marker
 map, divided by the rows' own denominators when the scheme refits them, so
 no (rows, m) array is held unless ``replicate_matrix`` asks for one. Every
@@ -42,7 +42,7 @@ built per block and dropped after it.
   projection (I - H) row; a bootstrap row is also scaled to the observed
   residual sum of squares phi_hat (n - d), so both keep the observed
   denominators. The compressed normal bootstrap runs instead wherever
-  m <= _MARKER_BLOCK, 3m <= n - d and the score correlation R has a
+  m <= MARKER_BLOCK, 3m <= n - d and the score correlation R has a
   Cholesky factor U' U = R (none when a marker is duplicated): a row is m + 1
   numbers (g, s), g ~ N(0, I_m) and s the root of a chi-square on
   n - d - m degrees of freedom, and its statistics are
@@ -74,9 +74,8 @@ modified-model keeps each row's indices below n - d, in order, which is a
 uniform permutation of n - d. A row whose
 binomial refit fails (separation, non-convergence, a masked system) is
 redrawn, at most ``MAX_REPLICATE_RETRIES`` times, each attempt from its own
-stream. Test hooks replace the draws with fixed index rows: the identity
-(``force_identity``) or every permutation (``exhaustive``). A fixed row is
-never redrawn, so its failed refit raises at once.
+stream. The ``exhaustive`` test hook replaces the draws with every
+permutation. Its rows are never redrawn, so a failed refit raises at once.
 
 A study (``run_study``, in ``replicate_workspace``) draws each index block
 of a dataset once and holds for its lifetime buffers of about 8 x rows x n
@@ -104,6 +103,7 @@ from .errors import (
     InvalidCorrelationError,
     ReplicateFailureError,
     check_integer,
+    check_level,
 )
 from .glm import Family, binomial_irls, cholesky_inverse, fit_null, lstsq_residuals, outer_rows
 from .rng import MONTE_CARLO_LANE, RESAMPLING_LANE, substream
@@ -143,10 +143,6 @@ _CORRELATION_TOL = 1e-8
 # Replicates per random stream. Part of the stream definition: changing it
 # changes every draw. Fixed blocks keep replicate r the same for any b.
 _CHUNK = 1024
-# Marker columns a replicate block maps at a time, so a scan holds
-# (rows, _MARKER_BLOCK) statistics and running row maxima, never (rows, m),
-# and builds float marker maps one block at a time from the int8 x_g.
-_MARKER_BLOCK = MARKER_BLOCK
 
 
 class ResamplingScheme(enum.Enum):
@@ -401,19 +397,19 @@ def _normal_refit(fit, bootstrap, rows):
     return resid, np.ones(len(rows), dtype=bool), None
 
 
-def _refit_weights(x_e, mu, whitened=None):
+def _refit_weights(x_e, mu, whitened):
     """Marker-free half of the refit denominators of each row of fitted
     probabilities ``mu``: the covariates whitened against x_e' W x_e, the
     inverse pivot 1 / l_00 of its Cholesky factor L and the mask of rows
     whose factor exists (``cholesky_inverse``).
 
-    The (d, rows, n) array (fresh, or ``whitened[:d]``, whose slice 1 may be
-    ``mu``) holds v = L^-1 x_e' W, except slice 0, which is the weights w:
+    The (d, rows, n) array ``whitened[:d]``, whose slice 1 may be ``mu``,
+    is written with v = L^-1 x_e' W, except slice 0, which is the weights w:
     x_e[:, 0] is the intercept column of ones that ``Dataset`` checks, so
     row 0 of L^-1 is (1/l_00, 0, ...) and v_0 is w / l_00.
     """
     (rows, n), d = mu.shape, x_e.shape[1]
-    whitened = np.empty((d, rows, n)) if whitened is None else whitened[:d]
+    whitened = whitened[:d]
     w = np.subtract(1.0, mu, out=whitened[0])
     w *= mu
     inv, ok = cholesky_inverse((w @ outer_rows(x_e)).reshape(rows, d, d))
@@ -477,7 +473,7 @@ def _direction_refit(df, rows):
 
 def _compressed_normal_bootstrap(fit, dataset):
     """The compressed normal bootstrap's kernel (module docstring), or None
-    where it does not run: m > _MARKER_BLOCK, 3m > n - d, or no upper
+    where it does not run: m > MARKER_BLOCK, 3m > n - d, or no upper
     Cholesky factor [[U, g], [0, s]] of the Gram [[R, t], [t', n - d]] of
     the score correlation R and the observed t whose least pivot of U
     squared exceeds _CORRELATION_TOL (a duplicated marker has none). The
@@ -485,7 +481,7 @@ def _compressed_normal_bootstrap(fit, dataset):
     is the identity row: sqrt(n - d) g' U / ||(g, s)|| is the observed t.
     """
     n_d, m = dataset.n - dataset.d, dataset.m
-    if m > _MARKER_BLOCK or 3 * m > n_d:
+    if m > MARKER_BLOCK or 3 * m > n_d:
         return None
     gram = np.empty((m + 1, m + 1))
     gram[:m, :m] = score_correlation(fit, dataset.x_g).r
@@ -503,7 +499,7 @@ def _compressed_normal_bootstrap(fit, dataset):
 
 
 def _evaluate(kernel, rows, m, full):
-    """Statistics of a block of replicate rows, mapped _MARKER_BLOCK marker
+    """Statistics of a block of replicate rows, mapped MARKER_BLOCK marker
     columns at a time: the (rows, m) matrix if ``full``, else each row's
     running maximum of |t|. Returns them with the mask of rows whose refit
     succeeded and stayed regular on every column. A binomial refit writes
@@ -513,7 +509,7 @@ def _evaluate(kernel, rows, m, full):
         resid, ok, weights = kernel.refit(rows)
     out = np.empty((len(rows), m)) if full else np.zeros(len(rows))
     del rows
-    for cols in marker_blocks(m, _MARKER_BLOCK):
+    for cols in marker_blocks(m, MARKER_BLOCK):
         x_cols = kernel.x_block(cols)
         if weights is None:
             stats = resid @ x_cols
@@ -532,9 +528,7 @@ def _evaluate(kernel, rows, m, full):
     return out, ok
 
 
-def _statistics(
-    scheme, fit, dataset, b, seed, path, exhaustive=False, force_identity=False, full=False
-):
+def _statistics(scheme, fit, dataset, b, seed, path, exhaustive=False, full=False):
     """Check the arguments, then yield, block by block in replicate order,
     the row maxima of |t| of ``scheme``'s replicates 0..b-1, or with
     ``full`` their (rows, m) statistics.
@@ -542,9 +536,8 @@ def _statistics(
     ``path`` names the dataset; block j and each attempt to redraw a failed
     replicate draw from their own stream in its resampling lane (``rng``
     lays out the keys). A row fails when its fit fails on any marker block,
-    so retries are decided once every block is mapped. Fixed rows
-    (``exhaustive``, ``force_identity``) are never redrawn, so a failed
-    refit of one raises at once.
+    so retries are decided once every block is mapped. ``exhaustive`` rows
+    are never redrawn, so a failed refit of one raises at once.
     """
     check_integer("seed", seed, 0)
     fixed = None
@@ -562,9 +555,6 @@ def _statistics(
     else:
         b = check_integer("b", b, 1)
     kernel = exchangeable_transform(scheme, fit, dataset)
-    if force_identity and fixed is None:
-        length = len(kernel.base)
-        fixed = np.broadcast_to(np.arange(length), (b, length))
     path, m, n = (*path, RESAMPLING_LANE), dataset.m, dataset.n
 
     def block_rows(lo, hi):
@@ -590,20 +580,17 @@ def _statistics(
         yield out
 
 
-def replicate_statistics(
-    scheme, fit, dataset, b, seed, *, stream_path=(), exhaustive=False, force_identity=False
-):
+def replicate_statistics(scheme, fit, dataset, b, seed, *, stream_path=(), exhaustive=False):
     """Generate the maxT null distribution for ``scheme``.
 
     ``b`` replicates are drawn in blocks of ``_CHUNK`` from the resampling
     lane of the dataset that ``stream_path`` names (``rng`` lays out the
     keys); the blocks run serially in replicate order, and each keeps only
-    its rows' running maxima across the marker blocks. ``exhaustive``
-    enumerates all permutations (tiny problems only; ``b`` is ignored) and
-    ``force_identity`` replaces every draw with the identity
-    permutation/resample; both are test hooks.
+    its rows' running maxima across the marker blocks. ``exhaustive``, a
+    test hook, enumerates all permutations (tiny problems only; ``b`` is
+    ignored).
     """
-    blocks = _statistics(scheme, fit, dataset, b, seed, stream_path, exhaustive, force_identity)
+    blocks = _statistics(scheme, fit, dataset, b, seed, stream_path, exhaustive)
     maxima = np.concatenate(list(blocks))
     return MaxTDistribution(np.sort(maxima), len(maxima), scheme, seed, exhaustive=exhaustive)
 
@@ -639,8 +626,7 @@ def check_cutoff_request(b, alpha):
     ``alpha``: ``alpha`` in (0, 1) and at least one replicate above the
     ceil(b(1 - alpha)) order statistic. Callers check before resampling."""
     check_integer("b", b, 1)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must be in (0, 1)")
+    check_level("alpha", alpha)
     if b * (1.0 - alpha) < 1.0:
         raise InsufficientReplicatesError(
             f"B={b} replicates cannot resolve the {1 - alpha:.4g} quantile"
@@ -698,10 +684,8 @@ def cutoff_ci(dist, q, conf):
     ends (indices clamped to [1, B]); falls back to the full range with a
     warning when even that window cannot reach ``conf``.
     """
-    if not 0.0 < q < 1.0:
-        raise ConfigError("quantile level must be in (0, 1)")
-    if not 0.0 < conf < 1.0:
-        raise ConfigError("confidence level must be in (0, 1)")
+    check_level("quantile level", q)
+    check_level("confidence level", conf)
     b = dist.b
     stats = dist.max_stats
     center = math.ceil(b * q)
@@ -723,8 +707,8 @@ def cutoff_ci(dist, q, conf):
 
 def bonferroni_sidak(m, alpha):
     """Closed-form local levels: (alpha / m, 1 - (1 - alpha)^(1/m))."""
-    if m < 1:
-        raise ConfigError("m must be at least 1")
+    check_integer("m", m, 1)
+    check_level("alpha", alpha)
     return alpha / m, 1.0 - (1.0 - alpha) ** (1.0 / m)
 
 

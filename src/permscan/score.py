@@ -140,18 +140,18 @@ def two_sided_p(t):
     return math.erfc(abs(t) / math.sqrt(2.0))
 
 
-def score_correlation(fit, x_g, dense_limit=DENSE_CORRELATION_LIMIT):
+def score_correlation(fit, x_g):
     """Dense m x m correlation matrix of the score statistics.
 
     Intended for diagnostics and Monte Carlo cross-checks; refuses to
-    materialize above ``dense_limit`` markers.
+    materialize above ``DENSE_CORRELATION_LIMIT`` markers.
     """
     x_g = _check_markers(fit, x_g)
     m = x_g.shape[1]
-    if m > dense_limit:
+    if m > DENSE_CORRELATION_LIMIT:
         raise SizeLimitError(
             f"correlation matrix for m={m} markers exceeds the dense limit "
-            f"{dense_limit}; this output is for diagnostic use only"
+            f"{DENSE_CORRELATION_LIMIT}; this output is for diagnostic use only"
         )
     scale = score_denominators(fit, x_g)
     a = _weighted_markers(fit, x_g)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, PermscanError, check_integer, check_real
+from .errors import ConfigError, PermscanError, check_integer, check_level
 from .glm import fit_null
 from .resampling import (
     ResamplingScheme,
@@ -79,17 +79,15 @@ class StudyConfig:
             raise ConfigError(f"sim must be a SimulationConfig, got {self.sim!r}")
         try:
             object.__setattr__(self, "schemes", tuple(self.schemes))
-        except TypeError:
-            raise ConfigError(f"schemes must be iterable, got {self.schemes!r}") from None
+        except TypeError as exc:
+            raise ConfigError(f"schemes must be iterable, got {self.schemes!r}") from exc
         check_integers(self, k=1, b=1, workers=1, master_seed=0)
         if not self.schemes:
             raise ConfigError("at least one resampling scheme is required")
         for scheme in self.schemes:
             if not isinstance(scheme, ResamplingScheme):
                 raise ConfigError(f"scheme must be a ResamplingScheme, got {scheme!r}")
-        check_real("alpha", self.alpha)
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must be in (0, 1)")
+        check_level("alpha", self.alpha)
 
 
 @dataclass(frozen=True)
@@ -246,14 +244,6 @@ def _dataset_alpha_hats(config, k):
     return k, alpha_hats, seconds, [w.message for w in caught]
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """``concurrent.futures.ProcessPoolExecutor``, imported on first call so
-    that a process that starts no pool never loads ``multiprocessing``."""
-    from concurrent.futures import ProcessPoolExecutor as executor
-
-    return executor(*args, **kwargs)
-
-
 def run_study(config):
     """Run the full K x B study described by ``config``.
 
@@ -283,6 +273,10 @@ def run_study(config):
         stack.enter_context(replicate_workspace())
         results = map(task, range(config.k))
         if workers > 1:
+            # Imported here, so a process that starts no pool never loads
+            # multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=workers, initializer=_pin_blas)
             )

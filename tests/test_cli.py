@@ -713,6 +713,12 @@ def test_run_scan_rejects_a_non_integer_seed_before_ingest(no_ingest):
         cli.run_scan("y.csv", "g.csv", "x.csv", seed=1.5)
 
 
+@pytest.mark.parametrize("alpha", ["0.05", None])
+def test_run_scan_rejects_an_alpha_that_is_not_a_real_before_ingest(no_ingest, alpha):
+    with pytest.raises(ConfigError, match="alpha must be a finite real number"):
+        cli.run_scan("y.csv", "g.csv", "x.csv", alpha=alpha)
+
+
 def test_scan_agrees_across_blas_thread_counts(tmp_path):
     # A scan keeps the default BLAS thread count, whose matmuls may round
     # differently, so the same scan on one and on two threads agrees to

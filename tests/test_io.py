@@ -126,6 +126,21 @@ def test_writer_rejects_names_that_miss_the_columns(tmp_path, writer, columns, n
     assert not path.exists()
 
 
+@pytest.mark.parametrize("names", [None, ["a", "b"]])
+def test_covariates_of_one_row_are_written_as_one_row(tmp_path, names):
+    path = tmp_path / "x.csv"
+    io.write_covariates(path, np.array([[0.3, 0.5]]), names)
+    assert io.read_covariates(path)[0] == (names or ["x1", "x2"])
+    assert np.array_equal(io.read_covariates(path)[1], [[0.3, 0.5]])
+
+
+def test_a_covariate_vector_is_written_as_one_column(tmp_path):
+    path = tmp_path / "x.csv"
+    io.write_covariates(path, np.array([0.3, 0.5, 0.7]))
+    assert io.read_covariates(path)[0] == ["x1"]
+    assert np.array_equal(io.read_covariates(path)[1], [[0.3], [0.5], [0.7]])
+
+
 def test_writer_error_names_first_bad_cell(tmp_path):
     with pytest.raises(ValueError, match="value 3 at row 1, column 2"):
         io.write_genotypes(tmp_path / "g.csv", REJECTED_MATRICES["out-of-range"])

@@ -1,5 +1,5 @@
 """Tests for marker-blocked replicate evaluation: each block of replicate
-rows is fit once and mapped ``resampling._MARKER_BLOCK`` marker columns at
+rows is fit once and mapped ``resampling.MARKER_BLOCK`` marker columns at
 a time, keeping only running row maxima."""
 
 import tracemalloc
@@ -39,7 +39,7 @@ def test_narrow_marker_blocks_match_one_block(monkeypatch, family, scheme):
     dataset, fit = _instance(family, n=60, m=29, beta_e=0.5, seed=17, rho=0.3)
     results = {}
     for width in (64, 8):
-        monkeypatch.setattr(resampling, "_MARKER_BLOCK", width)
+        monkeypatch.setattr(resampling, "MARKER_BLOCK", width)
         results[width] = (
             replicate_statistics(scheme, fit, dataset, 1025, seed=4).max_stats,
             replicate_matrix(scheme, fit, dataset, 1025, seed=4),
@@ -59,7 +59,7 @@ def test_retries_do_not_depend_on_marker_blocks(monkeypatch, scheme):
     dataset, fit = _instance(Family.BINOMIAL, n=12, m=6, beta_e=2.0, seed=1)
     results = {}
     for width in (6, 2):
-        monkeypatch.setattr(resampling, "_MARKER_BLOCK", width)
+        monkeypatch.setattr(resampling, "MARKER_BLOCK", width)
         retries = []
 
         def counting(seed, *path):
@@ -83,7 +83,7 @@ def test_a_row_failing_only_on_its_last_block_is_redrawn(monkeypatch):
     # failure is a masked row of the bootstrap's per-block denominators.
     dataset, fit = _instance(Family.BINOMIAL, n=40, m=6, beta_e=0.5, seed=3)
     scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
-    monkeypatch.setattr(resampling, "_MARKER_BLOCK", 2)
+    monkeypatch.setattr(resampling, "MARKER_BLOCK", 2)
     kernel = exchangeable_transform(scheme, fit, dataset)
 
     def maxima(rows):
@@ -215,7 +215,7 @@ def test_full_model_residuals_map_keeps_its_peak_off_m(monkeypatch):
     definition, so it is fit before tracing, and the bound applies to the
     rest of the scheme."""
     scheme = ResamplingScheme.FULL_MODEL_RESIDUALS
-    monkeypatch.setattr(resampling, "_MARKER_BLOCK", 64)
+    monkeypatch.setattr(resampling, "MARKER_BLOCK", 64)
 
     def peak(m):
         dataset, fit = _instance(Family.NORMAL, n=600, m=m, beta_e=0.5, seed=2, rho=0.5)

@@ -43,7 +43,8 @@ def _dataset(d, n=150, m=7, seed=3, indicator=0):
 def _denominators(x_e, x_g, mu):
     """Refit denominators of each row of ``mu`` on every marker of ``x_g``
     and the mask of rows with a regular system and no degenerate marker."""
-    return resampling._refit_block_denominators(resampling._refit_weights(x_e, mu), x_g)
+    weights = resampling._refit_weights(x_e, mu, np.empty((x_e.shape[1], *mu.shape)))
+    return resampling._refit_block_denominators(weights, x_g)
 
 
 @pytest.mark.parametrize("d", [1, 3])
@@ -187,7 +188,7 @@ def test_block_denominators_in_place_restore_the_counts_exactly(d):
     dataset = _dataset(d)
     fit = fit_null(Family.BINOMIAL, dataset.y, dataset.x_e)
     mu = np.tile(fit.mu_e, (4, 1)) + np.linspace(-0.02, 0.02, 4)[:, None]
-    weights = resampling._refit_weights(dataset.x_e, mu)
+    weights = resampling._refit_weights(dataset.x_e, mu, np.empty((dataset.d, *mu.shape)))
     x_cols = dataset.x_g.astype(float)
     denom, ok = resampling._refit_block_denominators(weights, x_cols.copy())
     in_place = resampling._refit_block_denominators(weights, x_cols, in_place=True)

@@ -145,6 +145,16 @@ class TestExchangeableTransform:
             )
 
 
+@pytest.fixture
+def identity_draws(monkeypatch):
+    """Every drawn replicate row is its kernel's identity row, the base."""
+
+    def draw(kernel, rows, *args, **kwargs):
+        return np.tile(kernel.base, (rows, 1))
+
+    monkeypatch.setattr(resampling, "_draw", draw)
+
+
 class TestIdentityFixedPoint:
     @pytest.mark.parametrize(
         "scheme",
@@ -156,12 +166,21 @@ class TestIdentityFixedPoint:
             ResamplingScheme.PARAMETRIC_BOOTSTRAP,
         ],
     )
-    def test_normal_identity_replicate_equals_observed(self, scheme):
+    def test_normal_identity_replicate_equals_observed(self, identity_draws, scheme):
         dataset, fit = _normal_instance(seed=102)
         observed = score_statistics(fit, dataset.x_g)
-        dist = replicate_statistics(
-            scheme, fit, dataset, 1, seed=0, force_identity=True
-        )
+        dist = replicate_statistics(scheme, fit, dataset, 1, seed=0)
+        assert_allclose(dist.max_stats[0], observed.max_abs_t, atol=1e-10)
+
+    def test_normal_bootstrap_refit_identity_replicate_equals_observed(self, identity_draws):
+        # The duplicated marker leaves the score correlation without a
+        # Cholesky factor, so the bootstrap refits rows of length n here,
+        # where the case above draws compressed (g, s) rows.
+        dataset, fit = _duplicated_marker_instance()
+        scheme = ResamplingScheme.PARAMETRIC_BOOTSTRAP
+        assert exchangeable_transform(scheme, fit, dataset).base is dataset.y
+        observed = score_statistics(fit, dataset.x_g)
+        dist = replicate_statistics(scheme, fit, dataset, 1, seed=0)
         assert_allclose(dist.max_stats[0], observed.max_abs_t, atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -172,12 +191,10 @@ class TestIdentityFixedPoint:
             ResamplingScheme.PARAMETRIC_BOOTSTRAP,
         ],
     )
-    def test_binomial_identity_replicate_equals_observed(self, scheme):
+    def test_binomial_identity_replicate_equals_observed(self, identity_draws, scheme):
         dataset, fit = _binomial_instance(seed=201)
         observed = score_statistics(fit, dataset.x_g)
-        dist = replicate_statistics(
-            scheme, fit, dataset, 1, seed=0, force_identity=True
-        )
+        dist = replicate_statistics(scheme, fit, dataset, 1, seed=0)
         assert_allclose(dist.max_stats[0], observed.max_abs_t, atol=1e-8)
 
     @pytest.mark.parametrize(
@@ -187,30 +204,23 @@ class TestIdentityFixedPoint:
             (ResamplingScheme.RAW_Y, Family.BINOMIAL),
         ],
     )
-    def test_identity_rows_cross_block_boundary(self, scheme, family):
+    def test_identity_rows_cross_block_boundary(self, identity_draws, scheme, family):
         if family is Family.NORMAL:
             dataset, fit = _normal_instance(seed=102)
         else:
             dataset, fit = _binomial_instance(seed=201)
         observed = score_statistics(fit, dataset.x_g)
-        dist = replicate_statistics(
-            scheme, fit, dataset, 1025, seed=0, force_identity=True
-        )
+        dist = replicate_statistics(scheme, fit, dataset, 1025, seed=0)
         assert dist.b == 1025
         assert_allclose(dist.max_stats, observed.max_abs_t, atol=1e-8)
 
-    def test_full_model_residuals_identity_is_zero(self):
+    def test_full_model_residuals_identity_is_zero(self, identity_draws):
         # Full-model residuals are orthogonal to the markers, so the
         # identity replicate collapses to zero rather than the observed
         # statistic. This is a structural property of the scheme.
         dataset, fit = _normal_instance(seed=103)
         dist = replicate_statistics(
-            ResamplingScheme.FULL_MODEL_RESIDUALS,
-            fit,
-            dataset,
-            1,
-            seed=0,
-            force_identity=True,
+            ResamplingScheme.FULL_MODEL_RESIDUALS, fit, dataset, 1, seed=0
         )
         assert dist.max_stats[0] < 1e-10
 
@@ -502,6 +512,18 @@ class TestMaxtCutoff:
         assert not cutoff.eq_satisfied
         assert_allclose(cutoff.alpha_loc, math.erfc(2.5 / math.sqrt(2)), rtol=0)
 
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [
+            ("0.05", "alpha must be a finite real number, got '0.05'"),
+            (None, "alpha must be a finite real number, got None"),
+        ],
+    )
+    def test_rejects_an_alpha_that_is_not_a_real(self, alpha, message):
+        dist = _synthetic_dist(np.arange(1.0, 101.0))
+        with pytest.raises(ConfigError, match=message):
+            maxt_cutoff(dist, alpha)
+
     def test_alpha_loc_is_two_sided_tail(self):
         dist = _synthetic_dist(np.linspace(0.1, 4.0, 500))
         cutoff = maxt_cutoff(dist, 0.1)
@@ -579,6 +601,13 @@ class TestCutoffCi:
         with pytest.raises(ConfigError):
             cutoff_ci(dist, 0.5, 1.0)
 
+    def test_levels_that_are_not_reals_are_config_errors(self):
+        dist = _synthetic_dist(np.arange(1.0, 6.0))
+        with pytest.raises(ConfigError, match="quantile level must be a finite real number"):
+            cutoff_ci(dist, "0.9", 0.95)
+        with pytest.raises(ConfigError, match="confidence level must be a finite real number"):
+            cutoff_ci(dist, 0.9, None)
+
 
 class TestClosedForms:
     def test_single_test_is_alpha(self):
@@ -594,6 +623,18 @@ class TestClosedForms:
     def test_rejects_bad_m(self):
         with pytest.raises(ConfigError):
             bonferroni_sidak(0, 0.05)
+
+    @pytest.mark.parametrize(
+        "m, alpha, message",
+        [
+            (2.5, 0.05, "m must be an integer, got 2.5"),
+            (3, "0.05", "alpha must be a finite real number, got '0.05'"),
+            (3, 1.5, r"alpha must be in \(0, 1\)"),
+        ],
+    )
+    def test_rejects_a_count_or_level_of_the_wrong_kind(self, m, alpha, message):
+        with pytest.raises(ConfigError, match=message):
+            bonferroni_sidak(m, alpha)
 
 
 class TestMcMvnAlphaLoc:
@@ -883,7 +924,7 @@ class TestCompressedNormalBootstrap:
         elif case == "3m > n - d":
             dataset, fit = _normal_instance(n=40, m=13, seed=106)
         else:
-            monkeypatch.setattr(resampling, "_MARKER_BLOCK", 3)
+            monkeypatch.setattr(resampling, "MARKER_BLOCK", 3)
             dataset, fit = _normal_instance(seed=106)
         scheme, (n, d), b = ResamplingScheme.PARAMETRIC_BOOTSTRAP, dataset.x_e.shape, 1100
         assert exchangeable_transform(scheme, fit, dataset).base is dataset.y
@@ -897,7 +938,7 @@ class TestCompressedNormalBootstrap:
             resid = z - (z @ fit.hat_basis) @ fit.hat_basis.T
             ss = np.einsum("bn,bn->b", resid, resid)
             resid *= np.sqrt(fit.phi_hat * (n - d) / ss)[:, None]
-            blocks = resampling.marker_blocks(dataset.m, resampling._MARKER_BLOCK)
+            blocks = resampling.marker_blocks(dataset.m, resampling.MARKER_BLOCK)
             expected.append(
                 np.hstack([resid @ (dataset.x_g[:, c].astype(float) / denom[c]) for c in blocks])
             )
@@ -913,7 +954,7 @@ def test_bootstrap_denominators_match_fit_null_per_row():
     rows = kernel.draw(substream(9, RESAMPLING_LANE, 0), 24)
     fits = [fit_null(Family.BINOMIAL, row, dataset.x_e) for row in rows]
     mu = np.vstack([row_fit.mu_e for row_fit in fits])
-    weights = resampling._refit_weights(dataset.x_e, mu)
+    weights = resampling._refit_weights(dataset.x_e, mu, np.empty((dataset.d, *mu.shape)))
     denom, ok = resampling._refit_block_denominators(weights, dataset.x_g)
     expected = np.vstack([score_denominators(row_fit, dataset.x_g) for row_fit in fits])
     assert ok.all()

@@ -150,11 +150,12 @@ class TestCorrelation:
         assert_allclose(np.diag(corr.r), 1.0, atol=1e-12)
         assert np.all(corr.r <= 1.0) and np.all(corr.r >= -1.0)
 
-    def test_dense_limit_enforced(self):
+    def test_dense_limit_enforced(self, monkeypatch):
         y, x_e, x_g = _binomial_instance(seed=8)
         fit = fit_null(Family.BINOMIAL, y, x_e)
+        monkeypatch.setattr(score, "DENSE_CORRELATION_LIMIT", 3)
         with pytest.raises(SizeLimitError):
-            score_correlation(fit, x_g, dense_limit=3)
+            score_correlation(fit, x_g)
 
     def test_constant_marker_is_degenerate(self):
         y, x_e, x_g = _binomial_instance(seed=9)

@@ -111,7 +111,7 @@ class TestRunStudy:
                 started.append(max_workers)
                 super().__init__(max_workers, **kwargs)
 
-        monkeypatch.setattr(study, "ProcessPoolExecutor", Recording)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recording)
         run_study(_small_config(workers=workers, k=k, b=9))
         assert started == sizes
 
@@ -197,8 +197,9 @@ class TestRunStudy:
 
     def test_rejects_a_bare_scheme(self):
         sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
-        with pytest.raises(ConfigError, match="schemes must be iterable"):
+        with pytest.raises(ConfigError, match="schemes must be iterable") as info:
             StudyConfig(sim=sim, schemes=ResamplingScheme.RAW_Y, k=1, b=1)
+        assert isinstance(info.value.__cause__, TypeError)
 
     @pytest.mark.parametrize("field", ["k", "b", "workers", "master_seed"])
     @pytest.mark.parametrize("value", [2.5, 2.0, "2", True, None])
@@ -787,6 +788,16 @@ class TestRealFields:
         sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
         with pytest.raises(ConfigError, match="alpha must be a finite real number"):
             StudyConfig(sim=sim, schemes=(ResamplingScheme.RAW_Y,), k=1, b=1, alpha=value)
+
+    @pytest.mark.parametrize("value", ["0.05", None])
+    def test_alpha_loc_study_rejects_an_alpha_that_is_not_a_real(self, monkeypatch, value):
+        def simulate_dataset(*args, **kwargs):
+            pytest.fail("simulated before checking alpha")
+
+        monkeypatch.setattr(study, "simulate_dataset", simulate_dataset)
+        sim = SimulationConfig(n=30, m=3, family=Family.NORMAL, seed=1)
+        with pytest.raises(ConfigError, match="alpha must be a finite real number"):
+            alpha_loc_study(sim, ResamplingScheme.FREEDMAN_LANE, b=100, alpha=value)
 
     def test_numpy_reals_hash_and_run_as_python_floats(self):
         def config(real):
